@@ -44,10 +44,11 @@ pub enum CostCategory {
     AppCompute,
 }
 
-/// A simulated CPU time charge with its dominant category.
+/// A simulated CPU time charge.
 ///
-/// Charges compose with `+`; composition keeps the first non-default
-/// category for reporting and sums the time.
+/// Charges compose with `+`, which sums the time. A charge carries no
+/// category: whoever books it names one (as [`crate::Kernel::charge`]
+/// does), and the metrics ledger files the time under that category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Charge {
     /// Total simulated CPU time.

@@ -9,14 +9,18 @@
 //! system calls remain unchanged".
 //!
 //! Descriptor numbers follow POSIX: allocation always takes the lowest
-//! free number, `dup2`-style [`FdTable::install_at`] targets an exact
-//! number, and the conventional stdio triple occupies 0/1/2 (installed
-//! by `Kernel::spawn`).
+//! free number, `dup2`-style [`FdRegistry::install_at`] targets an
+//! exact number, and the conventional stdio triple occupies 0/1/2
+//! (installed by `Kernel::spawn`).
+//!
+//! No operation walks a table or the registry. Each [`FdTable`] keeps
+//! its free numbers below a high-water mark as an ordered set of runs,
+//! so the lowest free number is found in O(log n). The [`FdRegistry`]
+//! owns every open-file description in an arena indexed by [`DescId`]
+//! and counts the descriptors naming each [`FdObject`], so a close
+//! knows in O(1) whether it was the object's last.
 
 use std::collections::{BTreeMap, HashMap};
-// lint:allow(no-lock) — see `OpenFileRef` below for why this Mutex
-// does not violate the shared-nothing rule.
-use std::sync::{Arc, Mutex};
 
 use iolite_fs::FileId;
 
@@ -49,7 +53,7 @@ pub enum Whence {
 }
 
 /// What an open-file description refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FdObject {
     /// A regular file with a seek position.
     File(FileId),
@@ -62,7 +66,7 @@ pub enum FdObject {
 }
 
 /// An open-file description (shared by `dup`ed descriptors).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenFile {
     /// The underlying object.
     pub object: FdObject,
@@ -70,97 +74,108 @@ pub struct OpenFile {
     pub pos: u64,
 }
 
-/// A shared handle to an open-file description.
+/// Names an open-file description in the [`FdRegistry`] arena.
 ///
-/// The Mutex exists so `dup`ed descriptors (possibly across simulated
-/// processes) share one offset while `Kernel` stays `Send`; every
-/// descriptor is only ever touched by its owning shard's thread, so
-/// the lock is uncontended by construction — it never crosses shards.
-// lint:allow(no-lock) — shard-confined dup sharing (see above); no
-// cross-shard state hides behind this lock.
-pub type OpenFileRef = Arc<Mutex<OpenFile>>;
+/// Ids are handed out by the registry itself (the most recently
+/// vacated slot first, else the next fresh one), so two registries
+/// built by the same operations assign the same ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DescId(pub u32);
+
+/// What closing (or displacing) one descriptor number released.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Released {
+    /// The object the number referred to.
+    pub object: FdObject,
+    /// Whether that was the last descriptor, in any process, naming
+    /// `object` (drives pipe EOF/EPIPE and socket teardown).
+    pub last: bool,
+}
 
 /// One process's descriptor table.
-#[derive(Debug, Default)]
+///
+/// Open numbers map to description ids. Every number below the
+/// high-water mark (one past the highest open number) is either open
+/// or in `free`, which holds the free numbers as disjoint half-open
+/// runs `start → end`, so allocation never walks the open set.
+#[derive(Debug, Clone, Default)]
 pub struct FdTable {
-    entries: BTreeMap<Fd, OpenFileRef>,
+    entries: BTreeMap<Fd, DescId>,
+    free: BTreeMap<u64, u64>,
+    high: u64,
 }
 
 impl FdTable {
-    /// Creates an empty table. Numbering starts at 0; the kernel claims
-    /// 0/1/2 for the stdio triple at `spawn`, so user objects land at 3+.
-    pub fn new() -> Self {
-        FdTable::default()
-    }
-
     /// The lowest descriptor number not currently in use (POSIX
     /// allocation order).
     fn lowest_free(&self) -> Fd {
-        let mut n = 0u32;
-        for fd in self.entries.keys() {
-            if fd.0 == n {
-                n += 1;
-            } else {
-                break;
+        let n = self
+            .free
+            .first_key_value()
+            .map_or(self.high, |(&start, _)| start);
+        Fd(u32::try_from(n).expect("descriptor numbers exhausted"))
+    }
+
+    /// Points `fd` at `desc`, returning the description it displaced.
+    fn insert(&mut self, fd: Fd, desc: DescId) -> Option<DescId> {
+        let displaced = self.entries.insert(fd, desc);
+        if displaced.is_none() {
+            self.take(u64::from(fd.0));
+        }
+        displaced
+    }
+
+    /// Unmaps `fd`, returning its description.
+    fn remove(&mut self, fd: Fd) -> Option<DescId> {
+        let desc = self.entries.remove(&fd)?;
+        self.release(u64::from(fd.0));
+        Some(desc)
+    }
+
+    /// Marks the free number `n` used.
+    fn take(&mut self, n: u64) {
+        if n >= self.high {
+            if n > self.high {
+                self.free.insert(self.high, n);
+            }
+            self.high = n + 1;
+            return;
+        }
+        let (&start, &end) = self
+            .free
+            .range(..=n)
+            .next_back()
+            .expect("a free number below the mark lies in a free run");
+        self.free.remove(&start);
+        if start < n {
+            self.free.insert(start, n);
+        }
+        if n + 1 < end {
+            self.free.insert(n + 1, end);
+        }
+    }
+
+    /// Marks the open number `n` free, merging it with its neighbour
+    /// runs; a run reaching the mark lowers the mark instead.
+    fn release(&mut self, n: u64) {
+        let mut start = n;
+        let end = self.free.remove(&(n + 1)).unwrap_or(n + 1);
+        if let Some((&s, &e)) = self.free.range(..n).next_back() {
+            if e == n {
+                self.free.remove(&s);
+                start = s;
             }
         }
-        Fd(n)
-    }
-
-    /// Installs a new open-file description at the lowest free number,
-    /// returning its descriptor. Closed numbers are reused, per POSIX.
-    pub fn install(&mut self, object: FdObject) -> Fd {
-        let fd = self.lowest_free();
-        self.entries
-            // lint:allow(no-lock) — constructing an `OpenFileRef`
-            // (shard-confined; see the type's docs).
-            .insert(fd, Arc::new(Mutex::new(OpenFile { object, pos: 0 })));
-        fd
-    }
-
-    /// Installs a *new* description for `object` at exactly `at`
-    /// (`dup2`-style targeting), silently replacing whatever was there.
-    /// Returns the displaced description, if any, so the kernel can run
-    /// last-reference close semantics on it.
-    pub fn install_at(&mut self, at: Fd, object: FdObject) -> Option<OpenFileRef> {
-        self.entries
-            // lint:allow(no-lock) — constructing an `OpenFileRef`
-            // (shard-confined; see the type's docs).
-            .insert(at, Arc::new(Mutex::new(OpenFile { object, pos: 0 })))
-    }
-
-    /// Duplicates `fd` onto the lowest free number: the new descriptor
-    /// shares the same open-file description (and therefore the same
-    /// offset), as POSIX `dup`.
-    pub fn dup(&mut self, fd: Fd) -> Option<Fd> {
-        let desc = self.entries.get(&fd)?.clone();
-        let new = self.lowest_free();
-        self.entries.insert(new, desc);
-        Some(new)
-    }
-
-    /// Duplicates `src` onto exactly `dst` (POSIX `dup2`): the two
-    /// numbers share one description afterwards. Returns the displaced
-    /// description previously at `dst`, if any (`None` also when
-    /// `src == dst`, which is a no-op per POSIX).
-    pub fn dup2(&mut self, src: Fd, dst: Fd) -> Option<Option<OpenFileRef>> {
-        let desc = self.entries.get(&src)?.clone();
-        if src == dst {
-            return Some(None);
+        if end == self.high {
+            self.high = start;
+        } else {
+            self.free.insert(start, end);
         }
-        Some(self.entries.insert(dst, desc))
     }
 
-    /// Resolves a descriptor.
-    pub fn get(&self, fd: Fd) -> Option<OpenFileRef> {
-        self.entries.get(&fd).cloned()
-    }
-
-    /// Closes a descriptor; the description dies with its last number.
-    /// Returns the removed description so the kernel can apply
-    /// last-reference semantics (pipe EOF, socket teardown).
-    pub fn close(&mut self, fd: Fd) -> Option<OpenFileRef> {
-        self.entries.remove(&fd)
+    /// Resolves a descriptor to its description.
+    pub fn get(&self, fd: Fd) -> Option<DescId> {
+        self.entries.get(&fd).copied()
     }
 
     /// Open descriptors.
@@ -173,44 +188,47 @@ impl FdTable {
         self.entries.is_empty()
     }
 
-    /// Iterates the open descriptors and their objects.
-    pub fn iter(&self) -> impl Iterator<Item = (Fd, FdObject)> + '_ {
-        self.entries.iter().map(|(fd, of)| (*fd, of.lock().unwrap().object))
+    /// One past the highest open number (0 when empty).
+    pub fn high_water(&self) -> u64 {
+        self.high
     }
 
-    /// Deep-forks the table for a kernel-state snapshot. `shared` maps
-    /// original description identity → forked twin across the *whole*
-    /// registry, so `dup`ed descriptors (possibly in different
-    /// processes) keep sharing one offset after the fork.
-    fn fork(&self, shared: &mut HashMap<usize, OpenFileRef>) -> FdTable {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(fd, desc)| {
-                let key = Arc::as_ptr(desc) as usize;
-                let twin = shared
-                    .entry(key)
-                    .or_insert_with(|| {
-                        let of = desc.lock().unwrap();
-                        // lint:allow(no-lock) — constructing an
-                        // `OpenFileRef` (shard-confined; type docs).
-                        Arc::new(Mutex::new(OpenFile {
-                            object: of.object,
-                            pos: of.pos,
-                        }))
-                    })
-                    .clone();
-                (*fd, twin)
-            })
-            .collect();
-        FdTable { entries }
+    /// Free numbers below [`FdTable::high_water`]; with
+    /// [`FdTable::len`] they always add up to the mark.
+    pub fn free_count(&self) -> u64 {
+        self.free.iter().map(|(start, end)| end - start).sum()
+    }
+
+    /// Iterates the open descriptors and their descriptions in number
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (Fd, DescId)> + '_ {
+        self.entries.iter().map(|(fd, desc)| (*fd, *desc))
     }
 }
 
-/// Kernel-wide registry of per-process tables.
-#[derive(Debug, Default)]
+/// An arena slot: a description plus the descriptor numbers naming it
+/// (0 = vacant).
+#[derive(Debug, Clone)]
+struct Desc {
+    file: OpenFile,
+    refs: u32,
+}
+
+/// Kernel-wide registry: per-process tables, the open-file description
+/// arena, and per-object descriptor counts.
+///
+/// The registry is a plain value, so forking it for a kernel-state
+/// snapshot is a clone: description ids are indices, not pointers, and
+/// `dup`ed descriptors (possibly in different processes) keep sharing
+/// one offset in the fork.
+#[derive(Debug, Clone, Default)]
 pub struct FdRegistry {
     tables: BTreeMap<Pid, FdTable>,
+    descs: Vec<Desc>,
+    /// Vacated arena slots, reused before the arena grows.
+    vacant: Vec<DescId>,
+    /// Descriptor numbers naming each object, across every table.
+    refs: HashMap<FdObject, u32>,
 }
 
 impl FdRegistry {
@@ -219,54 +237,155 @@ impl FdRegistry {
         FdRegistry::default()
     }
 
-    /// The table for `pid`, created on first use.
-    pub fn table(&mut self, pid: Pid) -> &mut FdTable {
-        self.tables.entry(pid).or_default()
-    }
-
     /// Read-only access to `pid`'s table, if it exists.
-    pub fn get_table(&self, pid: Pid) -> Option<&FdTable> {
+    pub fn table(&self, pid: Pid) -> Option<&FdTable> {
         self.tables.get(&pid)
     }
 
-    /// Whether any descriptor in any process still refers to `object`
-    /// (drives last-close semantics: a pipe's write end closes for real
-    /// only when its last descriptor is gone).
-    pub fn object_referenced(&self, object: FdObject) -> bool {
-        self.tables
-            .values()
-            .any(|t| t.iter().any(|(_, obj)| obj == object))
+    /// Resolves `pid`'s descriptor to its description id.
+    pub fn get(&self, pid: Pid, fd: Fd) -> Option<DescId> {
+        self.tables.get(&pid)?.get(fd)
     }
 
-    /// Deep-forks the registry, preserving description sharing (one
-    /// shared identity map spans every process's table).
-    pub fn fork(&self) -> FdRegistry {
-        let mut shared = HashMap::new();
-        FdRegistry {
-            tables: self
-                .tables
-                .iter()
-                .map(|(pid, t)| (*pid, t.fork(&mut shared)))
-                .collect(),
+    /// Resolves `pid`'s descriptor to its object.
+    pub fn object(&self, pid: Pid, fd: Fd) -> Option<FdObject> {
+        self.get(pid, fd).map(|desc| self.file(desc).object)
+    }
+
+    /// The description behind a live id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on ids that were never allocated.
+    pub fn file(&self, desc: DescId) -> &OpenFile {
+        &self.descs[desc.0 as usize].file
+    }
+
+    /// Mutable access to a live description (its shared offset).
+    ///
+    /// # Panics
+    ///
+    /// As [`FdRegistry::file`].
+    pub fn file_mut(&mut self, desc: DescId) -> &mut OpenFile {
+        &mut self.descs[desc.0 as usize].file
+    }
+
+    /// Descriptors, across every process, naming `object`.
+    pub fn object_refs(&self, object: FdObject) -> u32 {
+        self.refs.get(&object).copied().unwrap_or(0)
+    }
+
+    /// Installs a new open-file description at the lowest free number
+    /// of `pid`'s table (created on first use), returning its
+    /// descriptor. Closed numbers are reused, per POSIX.
+    pub fn install(&mut self, pid: Pid, object: FdObject) -> Fd {
+        let desc = self.alloc(object);
+        let fd = self.tables.entry(pid).or_default().lowest_free();
+        self.link(pid, fd, desc);
+        fd
+    }
+
+    /// Installs a *new* description for `object` at exactly `at`
+    /// (`dup2`-style targeting), silently replacing whatever was there.
+    /// Returns what the displaced descriptor released, if any.
+    pub fn install_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Option<Released> {
+        let desc = self.alloc(object);
+        self.link(pid, at, desc)
+    }
+
+    /// Duplicates `fd` onto the lowest free number: the new descriptor
+    /// shares the same open-file description (and therefore the same
+    /// offset), as POSIX `dup`.
+    pub fn dup(&mut self, pid: Pid, fd: Fd) -> Option<Fd> {
+        let table = self.tables.get(&pid)?;
+        let desc = table.get(fd)?;
+        let new = table.lowest_free();
+        self.link(pid, new, desc);
+        Some(new)
+    }
+
+    /// Duplicates `src` onto exactly `dst` (POSIX `dup2`): the two
+    /// numbers share one description afterwards. Returns what the
+    /// displaced descriptor at `dst` released, if any (`None` also
+    /// when `src == dst`, which is a no-op per POSIX); `None` overall
+    /// when `src` is not open.
+    pub fn dup2(&mut self, pid: Pid, src: Fd, dst: Fd) -> Option<Option<Released>> {
+        let desc = self.get(pid, src)?;
+        if src == dst {
+            return Some(None);
         }
+        Some(self.link(pid, dst, desc))
     }
 
-    /// Folds the registry into a stable digest. Shared descriptions are
-    /// identified by an alias index assigned in first-encounter order
-    /// over the (sorted) `(pid, fd)` iteration, so pointer values never
-    /// leak into the hash.
+    /// Closes a descriptor; the description dies with its last number.
+    /// Returns what the close released, so the kernel can apply
+    /// last-reference semantics (pipe EOF, socket teardown).
+    pub fn close(&mut self, pid: Pid, fd: Fd) -> Option<Released> {
+        let desc = self.tables.get_mut(&pid)?.remove(fd)?;
+        Some(self.unref(desc))
+    }
+
+    /// A fresh description with no descriptors yet.
+    fn alloc(&mut self, object: FdObject) -> DescId {
+        let slot = Desc {
+            file: OpenFile { object, pos: 0 },
+            refs: 0,
+        };
+        if let Some(desc) = self.vacant.pop() {
+            self.descs[desc.0 as usize] = slot;
+            return desc;
+        }
+        let desc = DescId(u32::try_from(self.descs.len()).expect("description ids exhausted"));
+        self.descs.push(slot);
+        desc
+    }
+
+    /// Points `pid`'s `fd` at `desc` and releases whatever it displaced.
+    /// The new reference is counted first, so re-pointing a number at
+    /// an object (or description) it already named is never a last
+    /// close.
+    fn link(&mut self, pid: Pid, fd: Fd, desc: DescId) -> Option<Released> {
+        let slot = &mut self.descs[desc.0 as usize];
+        slot.refs += 1;
+        *self.refs.entry(slot.file.object).or_insert(0) += 1;
+        let displaced = self.tables.entry(pid).or_default().insert(fd, desc)?;
+        Some(self.unref(displaced))
+    }
+
+    /// Drops one descriptor's reference to `desc`, vacating the slot
+    /// and the object's count when they reach zero.
+    fn unref(&mut self, desc: DescId) -> Released {
+        let slot = &mut self.descs[desc.0 as usize];
+        slot.refs -= 1;
+        let object = slot.file.object;
+        if slot.refs == 0 {
+            self.vacant.push(desc);
+        }
+        let count = self
+            .refs
+            .get_mut(&object)
+            .expect("a referenced object is counted");
+        *count -= 1;
+        let last = *count == 0;
+        if last {
+            self.refs.remove(&object);
+        }
+        Released { object, last }
+    }
+
+    /// Folds the registry into a stable digest: every `(pid, fd)` with
+    /// its description id, object, and offset. Ids are assigned
+    /// deterministically, so equal histories hash equal and sharing is
+    /// visible as a repeated id.
     pub fn digest(&self, h: &mut iolite_buf::Fnv64) {
-        let mut alias: HashMap<usize, u64> = HashMap::new();
         h.write_usize(self.tables.len());
         for (pid, t) in &self.tables {
             h.write_u32(pid.0);
-            h.write_usize(t.entries.len());
-            for (fd, desc) in &t.entries {
+            h.write_usize(t.len());
+            for (fd, desc) in t.iter() {
                 h.write_u32(fd.0);
-                let key = Arc::as_ptr(desc) as usize;
-                let next = alias.len() as u64;
-                h.write_u64(*alias.entry(key).or_insert(next));
-                let of = desc.lock().unwrap();
+                h.write_u32(desc.0);
+                let of = self.file(desc);
                 let (tag, id) = match of.object {
                     FdObject::File(f) => (0u64, f.0),
                     FdObject::PipeRead(p) => (1, p.0 as u64),
@@ -285,12 +404,18 @@ impl FdRegistry {
 mod tests {
     use super::*;
 
+    const P: Pid = Pid(1);
+
+    fn file(n: u64) -> FdObject {
+        FdObject::File(FileId(n))
+    }
+
     #[test]
     fn descriptors_allocate_lowest_free_per_process() {
         let mut reg = FdRegistry::new();
-        let a = reg.table(Pid(1)).install(FdObject::File(FileId(1)));
-        let b = reg.table(Pid(1)).install(FdObject::File(FileId(2)));
-        let c = reg.table(Pid(2)).install(FdObject::File(FileId(3)));
+        let a = reg.install(Pid(1), file(1));
+        let b = reg.install(Pid(1), file(2));
+        let c = reg.install(Pid(2), file(3));
         assert_eq!(a, Fd(0));
         assert_eq!(b, Fd(1));
         assert_eq!(c, Fd(0), "tables are independent per process");
@@ -298,81 +423,101 @@ mod tests {
 
     #[test]
     fn closed_numbers_are_reused_lowest_first() {
-        let mut t = FdTable::new();
-        let a = t.install(FdObject::File(FileId(1)));
-        let b = t.install(FdObject::File(FileId(2)));
-        let c = t.install(FdObject::File(FileId(3)));
+        let mut reg = FdRegistry::new();
+        let a = reg.install(P, file(1));
+        let b = reg.install(P, file(2));
+        let c = reg.install(P, file(3));
         assert_eq!((a, b, c), (Fd(0), Fd(1), Fd(2)));
-        t.close(b);
+        reg.close(P, b);
         // POSIX: the lowest free number, not a forever-incrementing one.
-        assert_eq!(t.install(FdObject::File(FileId(4))), Fd(1));
-        t.close(a);
-        t.close(c);
-        assert_eq!(t.install(FdObject::File(FileId(5))), Fd(0));
-        assert_eq!(t.install(FdObject::File(FileId(6))), Fd(2));
+        assert_eq!(reg.install(P, file(4)), Fd(1));
+        reg.close(P, a);
+        reg.close(P, c);
+        assert_eq!(reg.install(P, file(5)), Fd(0));
+        assert_eq!(reg.install(P, file(6)), Fd(2));
     }
 
     #[test]
     fn dup_shares_the_offset() {
-        let mut t = FdTable::new();
-        let fd = t.install(FdObject::File(FileId(1)));
-        let dup = t.dup(fd).unwrap();
-        t.get(fd).unwrap().lock().unwrap().pos = 42;
-        assert_eq!(t.get(dup).unwrap().lock().unwrap().pos, 42);
+        let mut reg = FdRegistry::new();
+        let fd = reg.install(P, file(1));
+        let dup = reg.dup(P, fd).unwrap();
+        let desc = reg.get(P, fd).unwrap();
+        reg.file_mut(desc).pos = 42;
+        assert_eq!(reg.file(reg.get(P, dup).unwrap()).pos, 42);
         // Closing one number keeps the description alive for the other.
-        assert!(t.close(fd).is_some());
-        assert_eq!(t.get(dup).unwrap().lock().unwrap().pos, 42);
-        assert!(t.get(fd).is_none());
+        assert_eq!(reg.close(P, fd).map(|r| r.last), Some(false));
+        assert_eq!(reg.file(reg.get(P, dup).unwrap()).pos, 42);
+        assert!(reg.get(P, fd).is_none());
     }
 
     #[test]
     fn dup2_targets_an_exact_number_and_shares_state() {
-        let mut t = FdTable::new();
-        let src = t.install(FdObject::File(FileId(7)));
-        let displaced = t.install(FdObject::File(FileId(8)));
+        let mut reg = FdRegistry::new();
+        let src = reg.install(P, file(7));
+        let displaced = reg.install(P, file(8));
         // dup2 onto an occupied number displaces it.
-        let old = t.dup2(src, displaced).unwrap();
-        assert!(old.is_some(), "previous description is handed back");
-        t.get(src).unwrap().lock().unwrap().pos = 9;
-        assert_eq!(t.get(displaced).unwrap().lock().unwrap().pos, 9);
+        let old = reg.dup2(P, src, displaced).unwrap();
+        assert_eq!(
+            old,
+            Some(Released {
+                object: file(8),
+                last: true
+            }),
+            "the displaced description is released"
+        );
+        let desc = reg.get(P, src).unwrap();
+        reg.file_mut(desc).pos = 9;
+        assert_eq!(reg.file(reg.get(P, displaced).unwrap()).pos, 9);
         // dup2 onto itself is a no-op.
-        assert!(t.dup2(src, src).unwrap().is_none());
+        assert!(reg.dup2(P, src, src).unwrap().is_none());
         // dup2 from a closed source fails.
-        assert!(t.dup2(Fd(99), Fd(5)).is_none());
+        assert!(reg.dup2(P, Fd(99), Fd(5)).is_none());
     }
 
     #[test]
     fn independent_opens_do_not_share() {
-        let mut t = FdTable::new();
-        let a = t.install(FdObject::File(FileId(1)));
-        let b = t.install(FdObject::File(FileId(1)));
-        t.get(a).unwrap().lock().unwrap().pos = 10;
-        assert_eq!(t.get(b).unwrap().lock().unwrap().pos, 0);
+        let mut reg = FdRegistry::new();
+        let a = reg.install(P, file(1));
+        let b = reg.install(P, file(1));
+        let desc = reg.get(P, a).unwrap();
+        reg.file_mut(desc).pos = 10;
+        assert_eq!(reg.file(reg.get(P, b).unwrap()).pos, 0);
     }
 
     #[test]
     fn close_is_idempotent_and_precise() {
-        let mut t = FdTable::new();
-        let fd = t.install(FdObject::PipeRead(PipeId(1)));
-        assert!(t.close(fd).is_some());
-        assert!(t.close(fd).is_none());
-        assert!(t.dup(fd).is_none());
-        assert!(t.is_empty());
+        let mut reg = FdRegistry::new();
+        let fd = reg.install(P, FdObject::PipeRead(PipeId(1)));
+        assert!(reg.close(P, fd).is_some());
+        assert!(reg.close(P, fd).is_none());
+        assert!(reg.dup(P, fd).is_none());
+        assert!(reg.table(P).unwrap().is_empty());
     }
 
     #[test]
     fn registry_tracks_object_references() {
         let mut reg = FdRegistry::new();
         let obj = FdObject::PipeWrite(PipeId(3));
-        assert!(!reg.object_referenced(obj));
-        let fd = reg.table(Pid(1)).install(obj);
-        let dup = reg.table(Pid(1)).dup(fd).unwrap();
-        let other = reg.table(Pid(2)).install(obj);
-        reg.table(Pid(1)).close(fd);
-        assert!(reg.object_referenced(obj), "dup + other process remain");
-        reg.table(Pid(1)).close(dup);
-        assert!(reg.object_referenced(obj), "other process remains");
-        reg.table(Pid(2)).close(other);
-        assert!(!reg.object_referenced(obj));
+        assert_eq!(reg.object_refs(obj), 0);
+        let fd = reg.install(Pid(1), obj);
+        let dup = reg.dup(Pid(1), fd).unwrap();
+        let other = reg.install(Pid(2), obj);
+        assert_eq!(reg.object_refs(obj), 3);
+        assert_eq!(reg.close(Pid(1), fd).map(|r| r.last), Some(false));
+        assert_eq!(reg.close(Pid(1), dup).map(|r| r.last), Some(false));
+        assert_eq!(reg.object_refs(obj), 1, "other process remains");
+        assert_eq!(reg.close(Pid(2), other).map(|r| r.last), Some(true));
+        assert_eq!(reg.object_refs(obj), 0);
+    }
+
+    #[test]
+    fn vacated_description_ids_are_reused() {
+        let mut reg = FdRegistry::new();
+        let a = reg.install(P, file(1));
+        let first = reg.get(P, a).unwrap();
+        reg.close(P, a);
+        let b = reg.install(P, file(2));
+        assert_eq!(reg.get(P, b), Some(first));
     }
 }

@@ -1529,6 +1529,43 @@ mod tests {
         // Re-acquiring a descriptor to the dead connection sees EPIPE.
         let zombie = k.install_fd(a, obj);
         assert_eq!(k.iol_write_fd(a, zombie, &msg), Err(IolError::Closed));
+        let (eof, _) = k.iol_read_fd(a, zombie, 10).unwrap();
+        assert!(eof.is_empty(), "the stream has ended");
+    }
+
+    #[test]
+    fn last_close_reclaims_the_socket() {
+        let mut k = kernel();
+        let pid = k.spawn("server");
+        let pool = k.process(pid).pool().clone();
+        let request = Aggregate::from_bytes(&pool, b"GET / HTTP/1.0\r\n\r\n");
+        let response = Aggregate::from_bytes(&pool, b"HTTP/1.0 200 OK\r\n\r\n");
+        let mut kept = Vec::new();
+        for _ in 0..5 {
+            // One connection is served and closed; one stays open.
+            let served = k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS);
+            kept.push(k.socket_create(pid, BufferMode::ZeroCopy, DEFAULT_MSS, DEFAULT_TSS));
+            k.socket_deliver(pid, served, request.clone()).unwrap();
+            k.iol_read_fd(pid, served, 64).unwrap();
+            k.iol_write_fd(pid, served, &response).unwrap();
+            let dup = k.dup_fd(pid, served).unwrap();
+            k.close_fd(pid, served).unwrap();
+            let FdObject::Socket(id) = k.fd_object(pid, dup).unwrap() else {
+                panic!("a socket descriptor");
+            };
+            assert!(k.state.sockets.contains_key(&id), "the dup keeps it alive");
+            k.close_fd(pid, dup).unwrap();
+            assert!(!k.state.sockets.contains_key(&id), "reclaimed at last close");
+        }
+        let live: Vec<ConnId> = kept
+            .iter()
+            .map(|&fd| match k.fd_object(pid, fd).unwrap() {
+                FdObject::Socket(id) => id,
+                other => panic!("not a socket: {other:?}"),
+            })
+            .collect();
+        let held: Vec<ConnId> = k.state.sockets.keys().copied().collect();
+        assert_eq!(held, live);
     }
 
     #[test]

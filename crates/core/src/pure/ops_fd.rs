@@ -11,7 +11,7 @@ use super::effect::Effect;
 use super::state::{IoOutcome, KernelState};
 use crate::cost::Charge;
 use crate::error::{IoResult, IolError};
-use crate::fd::{Fd, FdObject, Whence};
+use crate::fd::{Fd, FdObject, OpenFile, Released, Whence};
 use crate::poll::{PollFd, Readiness};
 use crate::process::Pid;
 
@@ -43,17 +43,15 @@ impl KernelState {
             ..IoOutcome::default()
         };
         fx.push(Effect::Syscalls(1));
-        let table = self.fds.get_table(pid);
         let mut events = Vec::with_capacity(fds.len());
         for entry in fds {
-            let Some(desc) = table.and_then(|t| t.get(entry.fd)) else {
+            let Some(object) = self.fds.object(pid, entry.fd) else {
                 events.push(Readiness {
                     invalid: true,
                     ..Readiness::PENDING
                 });
                 continue;
             };
-            let object = desc.lock().unwrap().object;
             events.push(self.object_readiness(object));
         }
         Ok((events, out))
@@ -89,13 +87,16 @@ impl KernelState {
                 }
             }
             FdObject::Socket(id) => {
+                // A reclaimed socket (reached through a descriptor
+                // re-installed after its last close) is torn down.
                 let Some(sock) = self.sockets.get(&id) else {
                     return Readiness {
-                        invalid: true,
+                        eof: true,
+                        epipe: true,
                         ..Readiness::PENDING
                     };
                 };
-                let hung_up = sock.write_dead();
+                let hung_up = sock.peer_closed;
                 Readiness {
                     readable: !sock.inbound.is_empty(),
                     writable: !hung_up && sock.send_space() > 0,
@@ -118,7 +119,7 @@ impl KernelState {
     pub(crate) fn op_open(&mut self, pid: Pid, path: &str, fx: &mut Vec<Effect>) -> IoResult<Fd> {
         let (id, charge) = self.op_lookup(path, fx);
         let file = id.ok_or(IolError::NotFound)?;
-        let fd = self.fds.table(pid).install(FdObject::File(file));
+        let fd = self.fds.install(pid, FdObject::File(file));
         let out = IoOutcome {
             charge: charge + Charge::us(self.cost.syscall_us),
             ..IoOutcome::default()
@@ -130,7 +131,7 @@ impl KernelState {
     /// the bridge for layers that hold [`FileId`]s (workload setup,
     /// benches) into the descriptor world.
     pub(crate) fn op_open_file(&mut self, pid: Pid, file: FileId) -> Fd {
-        self.fds.table(pid).install(FdObject::File(file))
+        self.fds.install(pid, FdObject::File(file))
     }
 
     /// Creates a pipe and returns `(read_fd, write_fd)` in `pid`'s
@@ -138,9 +139,8 @@ impl KernelState {
     /// `fork`).
     pub(crate) fn op_pipe_fds(&mut self, pid: Pid, mode: PipeMode, fx: &mut Vec<Effect>) -> (Fd, Fd) {
         let id = self.op_pipe_create(mode, None, fx);
-        let table = self.fds.table(pid);
-        let r = table.install(FdObject::PipeRead(id));
-        let w = table.install(FdObject::PipeWrite(id));
+        let r = self.fds.install(pid, FdObject::PipeRead(id));
+        let w = self.fds.install(pid, FdObject::PipeWrite(id));
         (r, w)
     }
 
@@ -156,25 +156,23 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> (Fd, Fd) {
         let id = self.op_pipe_create(mode, acl, fx);
-        let w = self.fds.table(writer).install(FdObject::PipeWrite(id));
-        let r = self.fds.table(reader).install(FdObject::PipeRead(id));
+        let w = self.fds.install(writer, FdObject::PipeWrite(id));
+        let r = self.fds.install(reader, FdObject::PipeRead(id));
         (w, r)
     }
 
     /// Installs an existing object in `pid`'s descriptor table (the
     /// moral equivalent of inheriting an fd across `fork`/`exec`).
     pub(crate) fn op_install_fd(&mut self, pid: Pid, object: FdObject) -> Fd {
-        self.fds.table(pid).install(object)
+        self.fds.install(pid, object)
     }
 
     /// Installs an existing object at exactly `at` (`dup2`-style
     /// targeting for inherited objects), displacing and
     /// (last-reference) closing whatever was there.
     pub(crate) fn op_install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Fd {
-        let displaced = self.fds.table(pid).install_at(at, object);
-        if let Some(old) = displaced {
-            let old_object = old.lock().unwrap().object;
-            self.finalize_close(old_object);
+        if let Some(released) = self.fds.install_at(pid, at, object) {
+            self.finalize_close(released);
         }
         at
     }
@@ -186,10 +184,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] if `fd` is not open.
     pub(crate) fn op_dup_fd(&mut self, pid: Pid, fd: Fd) -> Result<Fd, IolError> {
-        self.fds
-            .table(pid)
-            .dup(fd)
-            .ok_or(IolError::NotOpen { fd })
+        self.fds.dup(pid, fd).ok_or(IolError::NotOpen { fd })
     }
 
     /// Duplicates `src` onto exactly `dst` (`dup2(2)`), displacing and
@@ -201,12 +196,10 @@ impl KernelState {
     pub(crate) fn op_dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
         let displaced = self
             .fds
-            .table(pid)
-            .dup2(src, dst)
+            .dup2(pid, src, dst)
             .ok_or(IolError::NotOpen { fd: src })?;
-        if let Some(old) = displaced {
-            let object = old.lock().unwrap().object;
-            self.finalize_close(object);
+        if let Some(released) = displaced {
+            self.finalize_close(released);
         }
         Ok(dst)
     }
@@ -214,36 +207,25 @@ impl KernelState {
     /// Closes a descriptor (`close(2)`). When the last descriptor for a
     /// pipe write end disappears (across *all* processes), the pipe is
     /// closed for real and readers see EOF; a socket's last close tears
-    /// the connection down.
+    /// the connection down and reclaims it.
     ///
     /// # Errors
     ///
     /// [`IolError::NotOpen`] if `fd` is not open (double close).
     pub(crate) fn op_close_fd(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        let removed = self
-            .fds
-            .table(pid)
-            .close(fd)
-            .ok_or(IolError::NotOpen { fd })?;
-        let object = removed.lock().unwrap().object;
-        self.finalize_close(object);
+        let released = self.fds.close(pid, fd).ok_or(IolError::NotOpen { fd })?;
+        self.finalize_close(released);
         Ok(())
     }
 
-    /// Applies last-reference close semantics after a descriptor for
-    /// `object` was removed or displaced.
-    ///
-    /// Files have no last-close action, so they skip the registry scan
-    /// entirely — the common case (a server's 10k-file open set) closes
-    /// in O(log n).
-    fn finalize_close(&mut self, object: FdObject) {
-        if matches!(object, FdObject::File(_)) {
+    /// Applies last-reference close semantics after a descriptor was
+    /// removed or displaced; the registry's per-object count already
+    /// says whether it was the object's last.
+    fn finalize_close(&mut self, released: Released) {
+        if !released.last {
             return;
         }
-        if self.fds.object_referenced(object) {
-            return;
-        }
-        match object {
+        match released.object {
             FdObject::PipeWrite(id) => self.op_pipe_close(id),
             FdObject::PipeRead(id) => {
                 // The last reader hung up: writers get EPIPE from now
@@ -252,13 +234,12 @@ impl KernelState {
                     slot.reader_gone = true;
                 }
             }
+            // Nothing reaches a socket except through a descriptor, so
+            // its last close reclaims it.
             FdObject::Socket(id) => {
-                if let Some(sock) = self.sockets.get_mut(&id) {
-                    sock.closed = true;
-                    sock.inbound.clear();
-                }
+                self.sockets.remove(&id);
             }
-            FdObject::File(_) => unreachable!("files returned early"),
+            FdObject::File(_) => {}
         }
     }
 
@@ -280,7 +261,7 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<u64> {
         let desc = self.resolve_fd(pid, fd)?;
-        let mut open = desc.lock().unwrap();
+        let open = *self.fds.file(desc);
         let FdObject::File(file) = open.object else {
             return Err(IolError::BadFdKind {
                 fd,
@@ -296,13 +277,14 @@ impl KernelState {
         if target < 0 {
             return Err(IolError::InvalidSeek { requested: offset });
         }
-        open.pos = target as u64;
+        let pos = target as u64;
+        self.fds.file_mut(desc).pos = pos;
         fx.push(Effect::Syscalls(1));
         let out = IoOutcome {
             charge: Charge::us(self.cost.syscall_us),
             ..IoOutcome::default()
         };
-        Ok((open.pos, out))
+        Ok((pos, out))
     }
 
     // ---- descriptor I/O --------------------------------------------------
@@ -327,12 +309,11 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<Aggregate> {
         let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
+        let OpenFile { object, pos } = *self.fds.file(desc);
         match object {
             FdObject::File(file) => {
-                let pos = desc.lock().unwrap().pos;
                 let (agg, out) = self.op_read_file_at(pid, file, pos, len, fx);
-                desc.lock().unwrap().pos = pos + agg.len();
+                self.fds.file_mut(desc).pos = pos + agg.len();
                 Ok((agg, out))
             }
             FdObject::PipeRead(pipe) => {
@@ -374,12 +355,11 @@ impl KernelState {
         fx: &mut Vec<Effect>,
     ) -> IoResult<u64> {
         let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
+        let OpenFile { object, pos } = *self.fds.file(desc);
         match object {
             FdObject::File(file) => {
-                let pos = desc.lock().unwrap().pos;
                 let out = self.op_write_file_at(pid, file, pos, agg, fx);
-                desc.lock().unwrap().pos = pos + agg.len();
+                self.fds.file_mut(desc).pos = pos + agg.len();
                 Ok((agg.len(), out))
             }
             FdObject::PipeWrite(pipe) => {
@@ -402,8 +382,10 @@ impl KernelState {
                 }
             }
             FdObject::Socket(id) => {
-                let sock = self.sockets.get_mut(&id).expect("registered socket");
-                if sock.write_dead() {
+                let Some(sock) = self.sockets.get_mut(&id) else {
+                    return Err(IolError::Closed);
+                };
+                if sock.peer_closed {
                     return Err(IolError::Closed);
                 }
                 // Nonblocking sockets honor the Tss send-buffer bound:
@@ -509,9 +491,9 @@ impl KernelState {
     ) -> IoResult<Vec<u8>> {
         let file = self.resolve_file(pid, fd, "posix_read")?;
         let desc = self.resolve_fd(pid, fd)?;
-        let pos = desc.lock().unwrap().pos;
+        let pos = self.fds.file(desc).pos;
         let (bytes, out) = self.op_posix_file_read(pid, file, pos, len, fx);
-        desc.lock().unwrap().pos = pos + bytes.len() as u64;
+        self.fds.file_mut(desc).pos = pos + bytes.len() as u64;
         Ok((bytes, out))
     }
 
@@ -530,9 +512,9 @@ impl KernelState {
     ) -> IoResult<u64> {
         let file = self.resolve_file(pid, fd, "posix_write")?;
         let desc = self.resolve_fd(pid, fd)?;
-        let pos = desc.lock().unwrap().pos;
+        let pos = self.fds.file(desc).pos;
         let out = self.op_posix_file_write(pid, file, pos, data, fx);
-        desc.lock().unwrap().pos = pos + data.len() as u64;
+        self.fds.file_mut(desc).pos = pos + data.len() as u64;
         Ok((data.len() as u64, out))
     }
 

@@ -32,13 +32,12 @@ impl KernelState {
             KernelSocket {
                 conn: TcpConn::new(id.0, mode, mss, tss),
                 inbound: VecDeque::new(),
-                closed: false,
                 peer_closed: false,
                 nonblocking: false,
                 sndbuf_used: 0,
             },
         );
-        self.fds.table(pid).install(FdObject::Socket(id))
+        self.fds.install(pid, FdObject::Socket(id))
     }
 
     /// Delivers inbound payload to a socket (the receive path's
@@ -52,7 +51,7 @@ impl KernelState {
     ) -> IoResult<u64> {
         let id = self.resolve_socket(pid, fd, "socket delivery")?;
         let sock = self.sockets.get_mut(&id).expect("registered socket");
-        if sock.closed || sock.peer_closed {
+        if sock.peer_closed {
             return Err(IolError::Closed);
         }
         let len = payload.len();
@@ -72,7 +71,7 @@ impl KernelState {
     ) -> IoResult<SendOutcome> {
         let id = self.resolve_socket(pid, fd, "accounted socket send")?;
         let sock = self.sockets.get_mut(&id).expect("registered socket");
-        if sock.write_dead() {
+        if sock.peer_closed {
             return Err(IolError::Closed);
         }
         let send = sock.conn.send_accounted(len);
@@ -98,7 +97,7 @@ impl KernelState {
     ) -> IoResult<Vec<MbufChain>> {
         let id = self.resolve_socket(pid, fd, "segment materialization")?;
         let sock = self.sockets.get_mut(&id).expect("registered socket");
-        if sock.write_dead() {
+        if sock.peer_closed {
             return Err(IolError::Closed);
         }
         let chains = sock.conn.build_segments(payload);
@@ -140,7 +139,7 @@ impl KernelState {
     pub(crate) fn op_socket_drain(&mut self, pid: Pid, fd: Fd, max: u64) -> Result<u64, IolError> {
         let id = self.resolve_socket(pid, fd, "send-buffer drain")?;
         let sock = self.sockets.get_mut(&id).expect("registered socket");
-        if sock.write_dead() {
+        if sock.peer_closed {
             return Err(IolError::Closed);
         }
         let take = sock.sndbuf_used.min(max);
@@ -181,7 +180,11 @@ impl KernelState {
             ..IoOutcome::default()
         };
         fx.push(Effect::Syscalls(1));
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        // A descriptor re-installed after the last close names a
+        // reclaimed connection: the stream has ended.
+        let Some(sock) = self.sockets.get_mut(&id) else {
+            return Ok((Aggregate::empty(), out));
+        };
         let mode = sock.conn.mode();
         let mut agg = Aggregate::empty();
         while agg.len() < len {
@@ -199,9 +202,9 @@ impl KernelState {
             }
         }
         if agg.is_empty() {
-            // Local teardown or a remote hang-up both end the stream:
-            // once the queue is drained, reads return empty (EOF).
-            return if sock.closed || sock.peer_closed || len == 0 {
+            // A remote hang-up ends the stream: once the queue is
+            // drained, reads return empty (EOF).
+            return if sock.peer_closed || len == 0 {
                 Ok((agg, out))
             } else {
                 Err(IolError::WouldBlock { outcome: out })

@@ -24,7 +24,7 @@ use iolite_vm::{IoLiteWindow, MemAccount, PageoutDaemon, PhysMemory};
 use super::ids::{ConnId, IdAlloc, PipeId};
 use crate::cost::{Charge, CostCategory, CostModel};
 use crate::error::IolError;
-use crate::fd::{Fd, FdObject, FdRegistry, OpenFileRef};
+use crate::fd::{DescId, Fd, FdObject, FdRegistry};
 use crate::process::{Pid, Process};
 
 use super::effect::Effect;
@@ -137,8 +137,6 @@ pub struct IoOutcome {
 pub(crate) struct KernelSocket {
     pub(crate) conn: TcpConn,
     pub(crate) inbound: VecDeque<Aggregate>,
-    /// The local side tore the connection down (last descriptor gone).
-    pub(crate) closed: bool,
     /// The remote side hung up (FIN/RST): reads drain then EOF, writes
     /// are EPIPE — the "descriptor becomes ready because the peer
     /// closed" case an event loop must observe through `iol_poll`.
@@ -153,12 +151,6 @@ pub(crate) struct KernelSocket {
 }
 
 impl KernelSocket {
-    /// Whether writes can never succeed again (local teardown or a
-    /// remote hang-up).
-    pub(crate) fn write_dead(&self) -> bool {
-        self.closed || self.peer_closed
-    }
-
     /// Bytes a write may accept right now: the Tss bound for
     /// nonblocking sockets, unbounded for blocking ones (which model
     /// write-until-drained).
@@ -176,7 +168,6 @@ impl KernelSocket {
         KernelSocket {
             conn: self.conn.clone(),
             inbound: self.inbound.iter().map(|a| forker.fork_aggregate(a)).collect(),
-            closed: self.closed,
             peer_closed: self.peer_closed,
             nonblocking: self.nonblocking,
             sndbuf_used: self.sndbuf_used,
@@ -190,7 +181,6 @@ impl KernelSocket {
         for a in &self.inbound {
             digest_aggregate(a, h);
         }
-        h.write_bool(self.closed);
         h.write_bool(self.peer_closed);
         h.write_bool(self.nonblocking);
         h.write_u64(self.sndbuf_used);
@@ -375,10 +365,12 @@ impl KernelState {
             stderr: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None, fx),
         };
         self.consoles.insert(pid, console);
-        let table = self.fds.table(pid);
-        table.install_at(Fd::STDIN, FdObject::PipeRead(console.stdin));
-        table.install_at(Fd::STDOUT, FdObject::PipeWrite(console.stdout));
-        table.install_at(Fd::STDERR, FdObject::PipeWrite(console.stderr));
+        self.fds
+            .install_at(pid, Fd::STDIN, FdObject::PipeRead(console.stdin));
+        self.fds
+            .install_at(pid, Fd::STDOUT, FdObject::PipeWrite(console.stdout));
+        self.fds
+            .install_at(pid, Fd::STDERR, FdObject::PipeWrite(console.stderr));
         pid
     }
 
@@ -413,19 +405,8 @@ impl KernelState {
     /// [`IolError::NotOpen`] for unknown descriptors,
     /// [`IolError::BadFdKind`] for non-sockets.
     pub fn socket(&self, pid: Pid, fd: Fd) -> Result<&TcpConn, IolError> {
-        let desc = self
-            .fds
-            .get_table(pid)
-            .and_then(|t| t.get(fd))
-            .ok_or(IolError::NotOpen { fd })?;
-        let object = desc.lock().unwrap().object;
-        match object {
-            FdObject::Socket(id) => Ok(&self.sockets[&id].conn),
-            _ => Err(IolError::BadFdKind {
-                fd,
-                operation: "socket access",
-            }),
-        }
+        let id = self.resolve_socket(pid, fd, "socket access")?;
+        Ok(&self.sockets[&id].conn)
     }
 
     /// Free space in a socket's send buffer (`Tss - unacknowledged`);
@@ -509,19 +490,14 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] for unknown descriptors.
     pub fn fd_object(&self, pid: Pid, fd: Fd) -> Result<FdObject, IolError> {
-        let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        Ok(object)
+        self.fds.object(pid, fd).ok_or(IolError::NotOpen { fd })
     }
 
     /// Resolves a descriptor to its open-file description (`EBADF` on
-    /// unknown numbers) — the one lookup every fd operation goes
+    /// unknown numbers) — the lookup every offset-moving operation goes
     /// through. Read-only: resolving never creates a table.
-    pub(crate) fn resolve_fd(&self, pid: Pid, fd: Fd) -> Result<OpenFileRef, IolError> {
-        self.fds
-            .get_table(pid)
-            .and_then(|t| t.get(fd))
-            .ok_or(IolError::NotOpen { fd })
+    pub(crate) fn resolve_fd(&self, pid: Pid, fd: Fd) -> Result<DescId, IolError> {
+        self.fds.get(pid, fd).ok_or(IolError::NotOpen { fd })
     }
 
     /// Resolves a descriptor that must name a regular file.
@@ -531,24 +507,25 @@ impl KernelState {
         fd: Fd,
         operation: &'static str,
     ) -> Result<FileId, IolError> {
-        let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        match object {
+        match self.fd_object(pid, fd)? {
             FdObject::File(file) => Ok(file),
             _ => Err(IolError::BadFdKind { fd, operation }),
         }
     }
 
+    /// Resolves a descriptor that must name a live socket. A socket is
+    /// reclaimed at its last close, so a descriptor re-installed from a
+    /// stale [`FdObject`] names a torn-down connection:
+    /// [`IolError::Closed`].
     pub(crate) fn resolve_socket(
         &self,
         pid: Pid,
         fd: Fd,
         operation: &'static str,
     ) -> Result<ConnId, IolError> {
-        let desc = self.resolve_fd(pid, fd)?;
-        let object = desc.lock().unwrap().object;
-        match object {
-            FdObject::Socket(id) => Ok(id),
+        match self.fd_object(pid, fd)? {
+            FdObject::Socket(id) if self.sockets.contains_key(&id) => Ok(id),
+            FdObject::Socket(_) => Err(IolError::Closed),
             _ => Err(IolError::BadFdKind { fd, operation }),
         }
     }
@@ -603,7 +580,7 @@ impl KernelState {
             pipes,
             sockets,
             consoles: self.consoles.clone(),
-            fds: self.fds.fork(),
+            fds: self.fds.clone(),
             ids: self.ids,
             clock: self.clock,
         }

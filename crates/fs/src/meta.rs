@@ -4,7 +4,7 @@
 //! 'old' buffer cache to hold file system metadata." Name→inode lookups
 //! go through this LRU cache; a miss stands for a metadata disk access.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::disk::FileId;
 
@@ -12,12 +12,17 @@ use crate::disk::FileId;
 ///
 /// `Clone` is a true deep copy, used by kernel-state snapshots. LRU
 /// eviction is deterministic: stamps are unique (one clock tick per
-/// lookup), so the victim never depends on hash iteration order.
+/// lookup), so the victim never depends on hash iteration order. A
+/// stamp-ordered index finds it in amortized O(log n).
 #[derive(Debug, Clone)]
 pub struct MetadataCache {
     capacity: usize,
     clock: u64,
     entries: HashMap<String, (FileId, u64)>,
+    /// Names by stamp. A hit only bumps the entry's own stamp, so a
+    /// record may be stale, but every entry has a record no newer than
+    /// its stamp: the first current record is the LRU entry.
+    lru: BTreeMap<u64, String>,
     hits: u64,
     misses: u64,
 }
@@ -34,6 +39,7 @@ impl MetadataCache {
             capacity,
             clock: 0,
             entries: HashMap::new(),
+            lru: BTreeMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -57,18 +63,30 @@ impl MetadataCache {
         let id = resolve()?;
         self.misses += 1;
         if self.entries.len() >= self.capacity {
-            // Evict the least recently used entry.
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
+            self.evict_lru();
         }
         self.entries.insert(name.to_string(), (id, self.clock));
+        self.lru.insert(self.clock, name.to_string());
         Some((id, false))
+    }
+
+    /// Evicts the least recently used entry. Stale index records are
+    /// re-filed under their entry's current stamp (or dropped once the
+    /// entry is gone) until the first record is current; each hit costs
+    /// at most one re-filing.
+    fn evict_lru(&mut self) {
+        while let Some((stamp, name)) = self.lru.pop_first() {
+            match self.entries.get(&name) {
+                Some(&(_, current)) if current == stamp => {
+                    self.entries.remove(&name);
+                    return;
+                }
+                Some(&(_, current)) => {
+                    self.lru.insert(current, name);
+                }
+                None => {}
+            }
+        }
     }
 
     /// Invalidates one name (file removal/rename).
@@ -152,6 +170,21 @@ mod tests {
         assert!(hit_a);
         let (_, hit_b) = c.lookup("/b", || Some(FileId(2))).unwrap();
         assert!(!hit_b);
+    }
+
+    #[test]
+    fn eviction_skips_invalidated_names() {
+        let mut c = MetadataCache::new(2);
+        c.lookup("/a", || Some(FileId(1)));
+        c.lookup("/b", || Some(FileId(2)));
+        c.invalidate("/a");
+        c.lookup("/c", || Some(FileId(3)));
+        // Full again: the victim is /b, the oldest name still cached.
+        c.lookup("/d", || Some(FileId(4)));
+        assert_eq!(c.len(), 2);
+        assert!(c.lookup("/c", || unreachable!()).unwrap().1);
+        assert!(c.lookup("/d", || unreachable!()).unwrap().1);
+        assert!(!c.lookup("/b", || Some(FileId(2))).unwrap().1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `serve_scale`: reference-aware caching at production scale (§3.7,
 //! §3.9), and event-loop throughput vs concurrency (PR 5).
 //!
-//! Four scenarios guard the cache layer's and event loop's scaling
+//! Six scenarios guard the cache layer's and event loop's scaling
 //! behaviour:
 //!
 //! * `request_churn_10k` — the real HTTP driver path (`serve_static`)
@@ -16,6 +16,9 @@
 //!   stays O(log n).
 //! * `cksum_cold_pressure` — a hot slice's checksum must survive an
 //!   overflow of cold slices through the bounded checksum cache.
+//! * `cksum_invalidate` — a write retiring one document from a full
+//!   2¹⁶-entry checksum cache: invalidation walks that document's
+//!   buffers' chains, never the table.
 //! * `event_loop_concurrency` — throughput vs concurrency through the
 //!   readiness-driven server: 256/1024/2048 nonblocking connections
 //!   multiplexed per `iol_poll` tick over a Zipf corpus, zero busy-spin
@@ -280,6 +283,35 @@ fn bench_cksum_cold_pressure(c: &mut Criterion) {
         })
     });
     g.finish();
+}
+
+fn bench_cksum_invalidate(c: &mut Criterion) {
+    // The kernel's default table, filled with one-slice documents; each
+    // iteration retires one (as a PUT over it does) and re-admits it, so
+    // the table stays full.
+    const ENTRIES: usize = 1 << 16;
+    let pool = BufferPool::new(PoolId(2), Acl::kernel_only(), 64 * 1024);
+    let docs: Vec<Aggregate> = (0..ENTRIES)
+        .map(|i| Aggregate::from_bytes(&pool, &[(i % 251) as u8; 32]))
+        .collect();
+    let mut cache = ChecksumCache::new(ENTRIES);
+    for d in &docs {
+        cache.sum_for(d.slice_at(0));
+    }
+    assert_eq!(cache.len(), ENTRIES);
+    let mut g = quick(c.benchmark_group("cksum_invalidate"));
+    g.throughput(Throughput::Elements(1));
+    let mut i = 0usize;
+    g.bench_function("invalidate_under_pressure", |b| {
+        b.iter(|| {
+            let d = &docs[i % ENTRIES];
+            i += 1;
+            let removed = cache.invalidate_aggregate(d);
+            removed ^ cache.sum_for(d.slice_at(0)).sum as u64
+        })
+    });
+    g.finish();
+    assert_eq!(cache.len(), ENTRIES);
 }
 
 /// The event-loop corpus: smaller than SCALE-10K (each timed iteration
@@ -784,6 +816,7 @@ criterion_group!(
     bench_request_churn,
     bench_evict_pinned_prefix,
     bench_cksum_cold_pressure,
+    bench_cksum_invalidate,
     bench_event_loop_concurrency,
     bench_event_loop_mixed_writes,
     bench_sharded_sweep

@@ -11,49 +11,93 @@
 //! CLOCK over the entry table): when a cold slice arrives at a full
 //! cache, it replaces the least-recently-referenced entry instead of
 //! flushing the whole map, so the hot-document working set survives
-//! cold-tail traffic. Hits are O(1); replacement is amortized O(1)
-//! (one hand sweep can clear up to a full table of reference bits).
+//! cold-tail traffic.
+//!
+//! Entries are indexed by buffer identity, the same name the paper
+//! uses: one hash map from ⟨pool, chunk, buffer offset, generation⟩ to
+//! the head of a doubly-linked chain threaded through the slot table,
+//! linking every sub-range sum cached over that buffer.
+//!
+//! * A lookup hashes the buffer identity once, then walks its chain
+//!   comparing ⟨offset, len⟩ (typically one entry per buffer).
+//! * Admission and CLOCK replacement are an O(1) unlink/link; the hand
+//!   sweep is amortized O(1) (one sweep can clear up to a full table of
+//!   reference bits).
+//! * [`ChecksumCache::invalidate_aggregate`] is O(slices + removed): it
+//!   pops each slice's chain head until the chain is empty.
+//!
+//! No path iterates the hash map, so the cache's state — slot order,
+//! CLOCK hand, chain order — is a function of the operation sequence
+//! alone, never of the map's per-instance hash seed.
 
 use std::collections::HashMap;
 
-use iolite_buf::{BufferId, Generation, PoolId, Slice};
+use iolite_buf::Slice;
 
 use crate::checksum::{slice_sum, PartialSum};
 
-/// Cache key: the systemwide-unique content identifier of a slice.
+/// Chain terminator for [`Slot::prev`]/[`Slot::next`]. Slot indices
+/// stay below it because the capacity is clamped to it.
+const NIL: u32 = u32::MAX;
+
+/// Buffer identity: ⟨pool, chunk, buffer offset, generation⟩, the
+/// systemwide-unique name of a buffer's contents. The pool id is part
+/// of it because chunk ids and generations are per-pool counters, so
+/// buffers of two pools can otherwise share a ⟨buffer, generation⟩ pair
+/// while holding different bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BufKey {
+    chunk: u64,
+    generation: u64,
+    pool: u32,
+    buffer_offset: u32,
+}
+
+/// Cache key: a buffer identity plus the slice's range within it.
 ///
 /// Offsets and lengths are kept at full `u64` width: two distinct
 /// slices ≥4 GiB apart in one buffer must never collide, since a
-/// collision serves a stale checksum on the wire. The pool id is part
-/// of the key for the same reason — chunk ids and generations are
-/// per-pool counters, so slices from two pools can otherwise share a
-/// ⟨buffer, generation⟩ pair while holding different bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// collision serves a stale checksum on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
-    pool: PoolId,
-    buffer: BufferId,
-    generation: Generation,
+    buf: BufKey,
     offset: u64,
     len: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<BufKey>() == 24);
+const _: () = assert!(std::mem::size_of::<Key>() == 40);
+
+impl BufKey {
+    fn of(s: &Slice) -> BufKey {
+        let id = s.id();
+        BufKey {
+            chunk: id.chunk.0,
+            generation: s.generation().0,
+            pool: s.pool().0,
+            buffer_offset: id.offset,
+        }
+    }
 }
 
 impl Key {
     fn of(s: &Slice) -> Key {
         Key {
-            pool: s.pool(),
-            buffer: s.id(),
-            generation: s.generation(),
+            buf: BufKey::of(s),
             offset: s.offset_in_buffer() as u64,
             len: s.len() as u64,
         }
     }
 }
 
-/// One resident checksum with its CLOCK reference bit.
-#[derive(Debug, Clone)]
+/// One resident checksum with its CLOCK reference bit and its links in
+/// its buffer's chain.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     key: Key,
     sum: PartialSum,
+    prev: u32,
+    next: u32,
     referenced: bool,
 }
 
@@ -99,21 +143,24 @@ pub struct CksumCacheStats {
 pub struct ChecksumCache {
     capacity: usize,
     enabled: bool,
-    map: HashMap<Key, usize>,
+    /// Buffer identity → index of the first slot in its chain. Looked
+    /// up and updated by key only; never iterated.
+    heads: HashMap<BufKey, u32>,
     slots: Vec<Slot>,
     hand: usize,
     stats: CksumCacheStats,
 }
 
 impl ChecksumCache {
-    /// Creates a cache bounded to `capacity` entries.
+    /// Creates a cache bounded to `capacity` entries (at least one, at
+    /// most `u32::MAX`).
     pub fn new(capacity: usize) -> Self {
         ChecksumCache {
-            capacity: capacity.max(1),
+            capacity: capacity.clamp(1, NIL as usize),
             enabled: true,
             // Grows lazily alongside `slots`: the kernel default is
             // 2¹⁶ entries, which would be megabytes if preallocated.
-            map: HashMap::new(),
+            heads: HashMap::new(),
             slots: Vec::new(),
             hand: 0,
             stats: CksumCacheStats::default(),
@@ -140,46 +187,120 @@ impl ChecksumCache {
             return slice_sum(s);
         }
         let key = Key::of(s);
-        if let Some(&idx) = self.map.get(&key) {
-            self.slots[idx].referenced = true;
+        if let Some(idx) = self.find(&key) {
+            let slot = &mut self.slots[idx as usize];
+            slot.referenced = true;
             self.stats.hits += 1;
             self.stats.bytes_cached += s.len() as u64;
-            return self.slots[idx].sum;
+            return slot.sum;
         }
         let sum = slice_sum(s);
         self.stats.misses += 1;
         self.stats.bytes_computed += s.len() as u64;
-        if self.slots.len() < self.capacity {
-            self.map.insert(key, self.slots.len());
-            self.slots.push(Slot {
-                key,
-                sum,
-                referenced: false,
-            });
-        } else {
-            // Second chance: sweep the hand past recently referenced
-            // slots (clearing their bits) to the first unreferenced one,
-            // and replace it. Terminates within two sweeps.
-            while self.slots[self.hand].referenced {
-                self.slots[self.hand].referenced = false;
-                self.hand = (self.hand + 1) % self.capacity;
+        self.admit(key, sum);
+        sum
+    }
+
+    /// The slot holding `key`, if resident: one hash of the buffer
+    /// identity, then a walk of that buffer's chain.
+    fn find(&self, key: &Key) -> Option<u32> {
+        let mut idx = *self.heads.get(&key.buf)?;
+        while idx != NIL {
+            let slot = &self.slots[idx as usize];
+            if slot.key.offset == key.offset && slot.key.len == key.len {
+                return Some(idx);
             }
-            let slot = &mut self.slots[self.hand];
-            self.map.remove(&slot.key);
-            self.map.insert(key, self.hand);
-            slot.key = key;
-            slot.sum = sum;
-            slot.referenced = false;
-            self.stats.evictions += 1;
+            idx = slot.next;
+        }
+        None
+    }
+
+    /// Inserts a non-resident `key`: appended while below capacity,
+    /// otherwise over the CLOCK victim.
+    fn admit(&mut self, key: Key, sum: PartialSum) {
+        let slot = Slot {
+            key,
+            sum,
+            prev: NIL,
+            next: NIL,
+            referenced: false,
+        };
+        if self.slots.len() < self.capacity {
+            self.slots.push(slot);
+            self.link(self.slots.len() as u32 - 1);
+            return;
+        }
+        // Second chance: sweep the hand past recently referenced slots
+        // (clearing their bits) to the first unreferenced one, and
+        // replace it. Terminates within two sweeps.
+        while self.slots[self.hand].referenced {
+            self.slots[self.hand].referenced = false;
             self.hand = (self.hand + 1) % self.capacity;
         }
-        sum
+        let victim = self.hand as u32;
+        self.unlink(victim);
+        self.slots[self.hand] = slot;
+        self.link(victim);
+        self.stats.evictions += 1;
+        self.hand = (self.hand + 1) % self.capacity;
+    }
+
+    /// Makes slot `idx` the head of its buffer's chain.
+    fn link(&mut self, idx: u32) {
+        let buf = self.slots[idx as usize].key.buf;
+        let next = self.heads.insert(buf, idx).unwrap_or(NIL);
+        let slot = &mut self.slots[idx as usize];
+        slot.prev = NIL;
+        slot.next = next;
+        if next != NIL {
+            self.slots[next as usize].prev = idx;
+        }
+    }
+
+    /// Detaches slot `idx` from its buffer's chain, dropping the chain's
+    /// head entry when `idx` was its only member.
+    fn unlink(&mut self, idx: u32) {
+        let Slot {
+            key, prev, next, ..
+        } = self.slots[idx as usize];
+        if prev == NIL {
+            if next == NIL {
+                self.heads.remove(&key.buf);
+            } else {
+                self.heads.insert(key.buf, next);
+            }
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    /// Removes slot `idx` and compacts the table: the last slot moves
+    /// into the hole (deterministic — same op sequence, same layout)
+    /// and its neighbours, or its chain head, are repointed.
+    fn remove(&mut self, idx: u32) {
+        self.unlink(idx);
+        self.slots.swap_remove(idx as usize);
+        let Some(&moved) = self.slots.get(idx as usize) else {
+            return;
+        };
+        if moved.prev == NIL {
+            self.heads.insert(moved.key.buf, idx);
+        } else {
+            self.slots[moved.prev as usize].next = idx;
+        }
+        if moved.next != NIL {
+            self.slots[moved.next as usize].prev = idx;
+        }
     }
 
     /// Drops every cached checksum computed over any buffer of `agg`'s
     /// slices — whole-slice sums and sub-range sums alike (send windows
-    /// cache arbitrary subranges, so matching must be by buffer
-    /// identity ⟨pool, buffer, generation⟩, not by exact key).
+    /// cache arbitrary subranges, so matching is by buffer identity
+    /// ⟨pool, buffer, generation⟩, not by exact key). Each slice costs
+    /// one chain: O(slices + removed), independent of the table size.
     ///
     /// This is the mutation hook (§3.5 meets §3.9): when a write
     /// replaces a cached aggregate, the replaced buffers' checksums are
@@ -187,35 +308,11 @@ impl ChecksumCache {
     /// same-generation identity by a snapshot-restoring test harness, a
     /// stale hit at worst. Returns the number of entries removed.
     pub fn invalidate_aggregate(&mut self, agg: &iolite_buf::Aggregate) -> u64 {
-        if self.map.is_empty() {
-            return 0;
-        }
         let mut removed = 0u64;
         for s in agg.slices() {
-            let (pool, buffer, generation) = (s.pool(), s.id(), s.generation());
-            // Collect-then-remove: at most a handful of entries per
-            // buffer, and the table is bounded.
-            let victims: Vec<Key> = self
-                .map
-                .keys()
-                .filter(|k| {
-                    k.pool == pool && k.buffer == buffer && k.generation == generation
-                })
-                .copied()
-                .collect();
-            for key in victims {
-                let idx = self.map.remove(&key).expect("collected from map");
-                // Compact the slot table: move the last slot into the
-                // hole (deterministic — same op sequence, same layout).
-                let last = self.slots.len() - 1;
-                if idx != last {
-                    self.slots.swap(idx, last);
-                    *self
-                        .map
-                        .get_mut(&self.slots[idx].key)
-                        .expect("moved slot is mapped") = idx;
-                }
-                self.slots.pop();
+            let buf = BufKey::of(s);
+            while let Some(&head) = self.heads.get(&buf) {
+                self.remove(head);
                 removed += 1;
             }
         }
@@ -238,12 +335,64 @@ impl ChecksumCache {
 
     /// Cached entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// Checks the chain index against the slot table and returns the
+    /// number of chains: every slot is reachable from exactly one head
+    /// (the one for its own buffer), `prev`/`next` links agree, and the
+    /// map holds one head per distinct buffer. Walks the slots, never
+    /// the map.
+    ///
+    /// Public but hidden: the checksum property suite runs it after
+    /// every step of its model comparison.
+    #[doc(hidden)]
+    pub fn check_index(&self) -> Result<usize, String> {
+        let mut seen = vec![false; self.slots.len()];
+        let mut chains = 0;
+        for (head, first) in self.slots.iter().enumerate() {
+            if first.prev != NIL {
+                continue;
+            }
+            chains += 1;
+            if self.heads.get(&first.key.buf) != Some(&(head as u32)) {
+                return Err(format!(
+                    "slot {head} starts a chain but is not its buffer's head"
+                ));
+            }
+            let (mut prev, mut idx) = (NIL, head as u32);
+            while idx != NIL {
+                let Some(slot) = self.slots.get(idx as usize) else {
+                    return Err(format!("slot {prev} links to {idx}, past the table"));
+                };
+                if slot.key.buf != first.key.buf {
+                    return Err(format!("slot {idx} is on another buffer's chain"));
+                }
+                if slot.prev != prev {
+                    return Err(format!(
+                        "slot {idx}: prev is {}, reached from {prev}",
+                        slot.prev
+                    ));
+                }
+                if std::mem::replace(&mut seen[idx as usize], true) {
+                    return Err(format!("slot {idx} reached twice"));
+                }
+                prev = idx;
+                idx = slot.next;
+            }
+        }
+        if chains != self.heads.len() {
+            return Err(format!("{} heads for {chains} chains", self.heads.len()));
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(idx) => Err(format!("slot {idx} is on no chain")),
+            None => Ok(chains),
+        }
     }
 
     /// Folds the cache's state into a stable digest. Slot order is the
@@ -265,12 +414,13 @@ impl ChecksumCache {
         }
         h.write_u64(self.slots.len() as u64);
         for slot in &self.slots {
-            h.write_u32(slot.key.pool.0);
-            h.write_u64(slot.key.buffer.chunk.0);
-            h.write_u32(slot.key.buffer.offset);
-            h.write_u64(slot.key.generation.0);
-            h.write_u64(slot.key.offset);
-            h.write_u64(slot.key.len);
+            let Key { buf, offset, len } = slot.key;
+            h.write_u32(buf.pool);
+            h.write_u64(buf.chunk);
+            h.write_u32(buf.buffer_offset);
+            h.write_u64(buf.generation);
+            h.write_u64(offset);
+            h.write_u64(len);
             h.write_u32(slot.sum.sum as u32);
             h.write_u64(slot.sum.len);
             h.write_bool(slot.referenced);
@@ -281,7 +431,7 @@ impl ChecksumCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolite_buf::{Acl, Aggregate, BufferPool, ChunkId, PoolId};
+    use iolite_buf::{Acl, Aggregate, BufferPool, Fnv64, PoolId};
 
     fn slice(pool: &BufferPool, data: &[u8]) -> Slice {
         Aggregate::from_bytes(pool, data).slice_at(0).clone()
@@ -395,30 +545,24 @@ mod tests {
     /// property of the key arithmetic.
     #[test]
     fn distant_subranges_do_not_collide_under_truncation() {
-        let pool = PoolId(1);
-        let buffer = BufferId {
-            chunk: ChunkId(1),
-            offset: 0,
+        let buf = BufKey {
+            chunk: 1,
+            generation: 1,
+            pool: 1,
+            buffer_offset: 0,
         };
-        let generation = Generation(1);
         let near = Key {
-            pool,
-            buffer,
-            generation,
+            buf,
             offset: 0,
             len: 1460,
         };
         let far = Key {
-            pool,
-            buffer,
-            generation,
+            buf,
             offset: 1 << 32,
             len: 1460,
         };
         let long = Key {
-            pool,
-            buffer,
-            generation,
+            buf,
             offset: 0,
             len: (1u64 << 32) + 1460,
         };
@@ -427,13 +571,23 @@ mod tests {
         assert_eq!(near.len as u32, long.len as u32);
         assert_ne!(near, far);
         assert_ne!(near, long);
-        // And a map keyed on them keeps the sums distinct.
-        let mut map = HashMap::new();
-        map.insert(near, 1u16);
-        map.insert(far, 2u16);
-        map.insert(long, 3u16);
-        assert_eq!(map.len(), 3);
-        assert_eq!(map[&near], 1);
+        // And one buffer's chain keeps the three sums distinct.
+        let mut c = ChecksumCache::new(16);
+        for (sum, key) in [near, far, long].into_iter().enumerate() {
+            c.admit(
+                key,
+                PartialSum {
+                    sum: sum as u16 + 1,
+                    len: key.len,
+                },
+            );
+        }
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.check_index(), Ok(1), "one buffer, one chain");
+        for (sum, key) in [near, far, long].into_iter().enumerate() {
+            let idx = c.find(&key).expect("resident");
+            assert_eq!(c.slots[idx as usize].sum.sum, sum as u16 + 1);
+        }
     }
 
     /// Regression: chunk ids and generations are per-pool counters, so
@@ -497,7 +651,9 @@ mod tests {
     fn clock_hand_skips_referenced_entries() {
         let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
         let mut c = ChecksumCache::new(4);
-        let keep: Vec<Slice> = (0..3).map(|i| slice(&pool, &[0xF0 + i as u8; 24])).collect();
+        let keep: Vec<Slice> = (0..3)
+            .map(|i| slice(&pool, &[0xF0 + i as u8; 24]))
+            .collect();
         for s in &keep {
             c.sum_for(s);
         }
@@ -519,5 +675,47 @@ mod tests {
         // 3 first-touch computes + 8 cold computes; every other access hit.
         assert_eq!(st.misses, 11);
         assert_eq!(st.bytes_computed as usize, 3 * 24 + 8 * 12);
+    }
+
+    /// Regression: invalidation used to collect its victims by iterating
+    /// a `HashMap`, whose order follows the map's per-instance hash seed,
+    /// so two caches fed the same operations compacted their tables in
+    /// different orders and diverged in `digest` once an invalidated
+    /// buffer held two or more sub-range sums. Every fresh pair must now
+    /// agree.
+    #[test]
+    fn same_operations_give_same_digest() {
+        fn run(docs: &[Aggregate], fill: &[Slice]) -> u64 {
+            let mut c = ChecksumCache::new(12);
+            for doc in docs {
+                let s = doc.slice_at(0);
+                c.sum_for(s);
+                c.sum_for(&s.sub(0, 8).unwrap());
+                c.sum_for(&s.sub(4, 16).unwrap());
+            }
+            assert_eq!(c.invalidate_aggregate(&docs[1]), 3);
+            assert_eq!(c.invalidate_aggregate(&docs[2]), 3);
+            // Refill past capacity so the CLOCK hand replaces slots of
+            // the compacted table, skipping a re-referenced survivor.
+            c.sum_for(docs[0].slice_at(0));
+            for s in fill {
+                c.sum_for(s);
+            }
+            c.check_index().unwrap();
+            let mut h = Fnv64::new();
+            c.digest(&mut h);
+            h.finish()
+        }
+        let pool = BufferPool::new(PoolId(1), Acl::kernel_only(), 4096);
+        let docs: Vec<Aggregate> = (0..4u8)
+            .map(|i| Aggregate::from_bytes(&pool, &[0x40 + i; 32]))
+            .collect();
+        // Held for the whole test: a dropped buffer could be recycled
+        // under a new generation, feeding later runs different keys.
+        let fill: Vec<Slice> = (0..8u8).map(|i| slice(&pool, &[i; 20])).collect();
+        let expected = run(&docs, &fill);
+        for _ in 0..100 {
+            assert_eq!(run(&docs, &fill), expected);
+        }
     }
 }

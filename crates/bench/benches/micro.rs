@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use iolite_buf::{Acl, Aggregate, BufferPool, DomainId, PoolId};
+use iolite_core::{CostModel, Kernel};
 use iolite_fs::{CacheKey, FileId, Policy, UnifiedCache};
 use iolite_ipc::{Pipe, PipeMode};
-use iolite_net::{internet_checksum, ChecksumCache};
+use iolite_net::{internet_checksum, BufferMode, ChecksumCache};
 use iolite_vm::MmapView;
 
 /// Short measurement windows: benches document magnitudes, not publishable
@@ -259,6 +260,27 @@ fn bench_mmap(c: &mut Criterion) {
     g.finish();
 }
 
+/// Descriptor → socket resolution with a server-sized table: one
+/// nonblocking socket queried among 16,384 open descriptors (the
+/// `socket_space` call the event loop makes before every send window).
+fn bench_fd_resolve(c: &mut Criterion) {
+    let mut k = Kernel::new(CostModel::pentium_ii_333());
+    let pid = k.spawn("server");
+    let socks: Vec<_> = (0..16_384)
+        .map(|_| {
+            let fd = k.socket_create(pid, BufferMode::ZeroCopy, 1460, 64 * 1024);
+            k.set_nonblocking(pid, fd, true).unwrap();
+            fd
+        })
+        .collect();
+    let fd = socks[socks.len() / 2];
+    let mut g = quick(c.benchmark_group("fd_resolve"));
+    g.bench_function("socket_space_16k", |b| {
+        b.iter(|| k.socket_space(pid, std::hint::black_box(fd)).unwrap())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_aggregates,
@@ -267,6 +289,7 @@ criterion_group!(
     bench_checksum,
     bench_unified_cache,
     bench_pipes,
-    bench_mmap
+    bench_mmap,
+    bench_fd_resolve
 );
 criterion_main!(benches);

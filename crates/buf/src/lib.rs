@@ -57,6 +57,7 @@ pub mod cursor;
 pub mod digest;
 pub mod error;
 pub mod fork;
+pub mod idhash;
 pub mod ids;
 pub mod pool;
 pub mod reader;
@@ -68,6 +69,7 @@ pub use cursor::AggCursor;
 pub use digest::{digest_aggregate, splitmix64, Fnv64};
 pub use error::BufError;
 pub use fork::PoolForker;
+pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use ids::{BufferId, ChunkId, DomainId, Generation, PoolId};
 pub use pool::{AllocEvent, BufMut, BufferPool, PoolStats};
 pub use reader::AggReader;

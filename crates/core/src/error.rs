@@ -10,6 +10,7 @@
 //! | [`IolError`] | errno analog | raised when |
 //! |---|---|---|
 //! | [`NotOpen`](IolError::NotOpen) | `EBADF` | the descriptor is not open in the caller's table |
+//! | [`FdOutOfRange`](IolError::FdOutOfRange) | `EBADF` | a `dup2`/`install_at` target is at or past [`MAX_FDS`](crate::fd::MAX_FDS) |
 //! | [`BadFdKind`](IolError::BadFdKind) | `ESPIPE`/`ENOTSOCK`/`EBADF` | the object cannot perform the operation (e.g. `lseek` on a pipe, read on a write end) |
 //! | [`PermissionDenied`](IolError::PermissionDenied) | `EACCES` | the caller's domain is not on the governing ACL (§3.3) |
 //! | [`NotFound`](IolError::NotFound) | `ENOENT` | a path fails to resolve at `open` |
@@ -40,6 +41,12 @@ pub enum IolError {
     /// (`EBADF`): never opened, or closed then used.
     NotOpen {
         /// The descriptor that failed to resolve.
+        fd: Fd,
+    },
+    /// A targeted descriptor number (`dup2`'s `newfd`, `install_at`'s
+    /// `at`) is at or past [`MAX_FDS`](crate::fd::MAX_FDS) (`EBADF`).
+    FdOutOfRange {
+        /// The refused number.
         fd: Fd,
     },
     /// The descriptor is open but refers to an object that cannot
@@ -93,6 +100,7 @@ impl PartialEq for IolError {
         use IolError::*;
         match (self, other) {
             (NotOpen { fd: a }, NotOpen { fd: b }) => a == b,
+            (FdOutOfRange { fd: a }, FdOutOfRange { fd: b }) => a == b,
             (
                 BadFdKind {
                     fd: a,
@@ -118,6 +126,9 @@ impl fmt::Display for IolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IolError::NotOpen { fd } => write!(f, "fd {} is not open (EBADF)", fd.0),
+            IolError::FdOutOfRange { fd } => {
+                write!(f, "fd {} is past the descriptor limit (EBADF)", fd.0)
+            }
             IolError::BadFdKind { fd, operation } => {
                 write!(f, "fd {} does not support {operation}", fd.0)
             }

@@ -13,17 +13,24 @@
 //! exact number, and the conventional stdio triple occupies 0/1/2
 //! (installed by `Kernel::spawn`).
 //!
-//! No operation walks a table or the registry. Each [`FdTable`] keeps
-//! its free numbers below a high-water mark as an ordered set of runs,
-//! so the lowest free number is found in O(log n). The [`FdRegistry`]
-//! owns every open-file description in an arena indexed by [`DescId`]
-//! and counts the descriptors naming each [`FdObject`], so a close
-//! knows in O(1) whether it was the object's last.
+//! No operation walks a table or the registry. Resolving a descriptor
+//! is a direct index: each [`FdTable`] is a dense slot vector, one
+//! entry per number up to its high-water mark, pointing at a [`DescId`]
+//! in the [`FdRegistry`]'s arena of open-file descriptions. The table
+//! also keeps its free numbers below the mark as an ordered set of
+//! runs, so the lowest free number is found in O(log n). The registry
+//! counts the descriptors naming each [`FdObject`] (in a seedless
+//! [`IdMap`]), so a close knows in O(1) whether it was the object's
+//! last. Numbers are bounded by [`MAX_FDS`]: a `dup2`/`install_at`
+//! target at or past it is refused with `EBADF` rather than sizing a
+//! slot vector by an arbitrary number.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use iolite_buf::IdMap;
 use iolite_fs::FileId;
 
+use crate::error::IolError;
 use crate::kernel::{ConnId, PipeId};
 use crate::process::Pid;
 
@@ -92,17 +99,28 @@ pub struct Released {
     pub last: bool,
 }
 
+/// One past the highest descriptor number a table accepts: Linux's
+/// default `nr_open` (2²⁰). `install_at`/`dup2` at or past it fail with
+/// [`IolError::FdOutOfRange`] (`EBADF`, as POSIX `dup2` for a `newfd`
+/// past `OPEN_MAX`), so no call can make a table allocate memory in
+/// proportion to an arbitrary number. Lowest-free allocation reaching it
+/// means a million descriptors are open at once, and panics.
+pub const MAX_FDS: u32 = 1 << 20;
+
 /// One process's descriptor table.
 ///
-/// Open numbers map to description ids. Every number below the
-/// high-water mark (one past the highest open number) is either open
-/// or in `free`, which holds the free numbers as disjoint half-open
-/// runs `start → end`, so allocation never walks the open set.
+/// `slots[n]` is the description behind number `n`, so resolving a
+/// descriptor is one index. The vector is exactly as long as the
+/// high-water mark (one past the highest open number): it grows when a
+/// number past the mark is taken and is truncated when the top number
+/// closes. Every number below the mark is either open or in `free`,
+/// which holds the free numbers as disjoint half-open runs
+/// `start → end`, so allocation never walks the slots.
 #[derive(Debug, Clone, Default)]
 pub struct FdTable {
-    entries: BTreeMap<Fd, DescId>,
+    slots: Vec<Option<DescId>>,
     free: BTreeMap<u64, u64>,
-    high: u64,
+    open: usize,
 }
 
 impl FdTable {
@@ -112,35 +130,43 @@ impl FdTable {
         let n = self
             .free
             .first_key_value()
-            .map_or(self.high, |(&start, _)| start);
-        Fd(u32::try_from(n).expect("descriptor numbers exhausted"))
+            .map_or(self.high_water(), |(&start, _)| start);
+        assert!(
+            n < u64::from(MAX_FDS),
+            "descriptor table full ({MAX_FDS} open)"
+        );
+        Fd(n as u32)
     }
 
-    /// Points `fd` at `desc`, returning the description it displaced.
+    /// Points `fd` (below [`MAX_FDS`]) at `desc`, returning the
+    /// description it displaced.
     fn insert(&mut self, fd: Fd, desc: DescId) -> Option<DescId> {
-        let displaced = self.entries.insert(fd, desc);
+        let n = fd.0 as usize;
+        if n >= self.slots.len() {
+            if n > self.slots.len() {
+                self.free.insert(self.high_water(), n as u64);
+            }
+            self.slots.resize(n + 1, None);
+        } else if self.slots[n].is_none() {
+            self.take(n as u64);
+        }
+        let displaced = self.slots[n].replace(desc);
         if displaced.is_none() {
-            self.take(u64::from(fd.0));
+            self.open += 1;
         }
         displaced
     }
 
     /// Unmaps `fd`, returning its description.
     fn remove(&mut self, fd: Fd) -> Option<DescId> {
-        let desc = self.entries.remove(&fd)?;
+        let desc = self.slots.get_mut(fd.0 as usize)?.take()?;
+        self.open -= 1;
         self.release(u64::from(fd.0));
         Some(desc)
     }
 
-    /// Marks the free number `n` used.
+    /// Marks the free number `n`, below the mark, used.
     fn take(&mut self, n: u64) {
-        if n >= self.high {
-            if n > self.high {
-                self.free.insert(self.high, n);
-            }
-            self.high = n + 1;
-            return;
-        }
         let (&start, &end) = self
             .free
             .range(..=n)
@@ -166,8 +192,8 @@ impl FdTable {
                 start = s;
             }
         }
-        if end == self.high {
-            self.high = start;
+        if end == self.high_water() {
+            self.slots.truncate(start as usize);
         } else {
             self.free.insert(start, end);
         }
@@ -175,22 +201,28 @@ impl FdTable {
 
     /// Resolves a descriptor to its description.
     pub fn get(&self, fd: Fd) -> Option<DescId> {
-        self.entries.get(&fd).copied()
+        self.slots.get(fd.0 as usize).copied().flatten()
     }
 
     /// Open descriptors.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.open
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.open == 0
     }
 
     /// One past the highest open number (0 when empty).
     pub fn high_water(&self) -> u64 {
-        self.high
+        self.slots.len() as u64
+    }
+
+    /// The slot vector: entry `n` is the description behind number `n`.
+    /// Always exactly [`FdTable::high_water`] long.
+    pub fn slots(&self) -> &[Option<DescId>] {
+        &self.slots
     }
 
     /// Free numbers below [`FdTable::high_water`]; with
@@ -202,7 +234,10 @@ impl FdTable {
     /// Iterates the open descriptors and their descriptions in number
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Fd, DescId)> + '_ {
-        self.entries.iter().map(|(fd, desc)| (*fd, *desc))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(n, desc)| desc.map(|d| (Fd(n as u32), d)))
     }
 }
 
@@ -228,7 +263,7 @@ pub struct FdRegistry {
     /// Vacated arena slots, reused before the arena grows.
     vacant: Vec<DescId>,
     /// Descriptor numbers naming each object, across every table.
-    refs: HashMap<FdObject, u32>,
+    refs: IdMap<FdObject, u32>,
 }
 
 impl FdRegistry {
@@ -288,9 +323,20 @@ impl FdRegistry {
     /// Installs a *new* description for `object` at exactly `at`
     /// (`dup2`-style targeting), silently replacing whatever was there.
     /// Returns what the displaced descriptor released, if any.
-    pub fn install_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Option<Released> {
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::FdOutOfRange`] when `at` is at or past [`MAX_FDS`];
+    /// nothing changes.
+    pub fn install_at(
+        &mut self,
+        pid: Pid,
+        at: Fd,
+        object: FdObject,
+    ) -> Result<Option<Released>, IolError> {
+        in_range(at)?;
         let desc = self.alloc(object);
-        self.link(pid, at, desc)
+        Ok(self.link(pid, at, desc))
     }
 
     /// Duplicates `fd` onto the lowest free number: the new descriptor
@@ -307,14 +353,20 @@ impl FdRegistry {
     /// Duplicates `src` onto exactly `dst` (POSIX `dup2`): the two
     /// numbers share one description afterwards. Returns what the
     /// displaced descriptor at `dst` released, if any (`None` also
-    /// when `src == dst`, which is a no-op per POSIX); `None` overall
-    /// when `src` is not open.
-    pub fn dup2(&mut self, pid: Pid, src: Fd, dst: Fd) -> Option<Option<Released>> {
-        let desc = self.get(pid, src)?;
+    /// when `src == dst`, which is a no-op per POSIX).
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::NotOpen`] when `src` is not open, and
+    /// [`IolError::FdOutOfRange`] when `dst` is at or past [`MAX_FDS`];
+    /// nothing changes either way.
+    pub fn dup2(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Option<Released>, IolError> {
+        let desc = self.get(pid, src).ok_or(IolError::NotOpen { fd: src })?;
         if src == dst {
-            return Some(None);
+            return Ok(None);
         }
-        Some(self.link(pid, dst, desc))
+        in_range(dst)?;
+        Ok(self.link(pid, dst, desc))
     }
 
     /// Closes a descriptor; the description dies with its last number.
@@ -400,6 +452,15 @@ impl FdRegistry {
     }
 }
 
+/// Refuses a targeted descriptor number at or past [`MAX_FDS`].
+fn in_range(fd: Fd) -> Result<(), IolError> {
+    if fd.0 < MAX_FDS {
+        Ok(())
+    } else {
+        Err(IolError::FdOutOfRange { fd })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,9 +531,12 @@ mod tests {
         reg.file_mut(desc).pos = 9;
         assert_eq!(reg.file(reg.get(P, displaced).unwrap()).pos, 9);
         // dup2 onto itself is a no-op.
-        assert!(reg.dup2(P, src, src).unwrap().is_none());
+        assert_eq!(reg.dup2(P, src, src), Ok(None));
         // dup2 from a closed source fails.
-        assert!(reg.dup2(P, Fd(99), Fd(5)).is_none());
+        assert_eq!(
+            reg.dup2(P, Fd(99), Fd(5)),
+            Err(IolError::NotOpen { fd: Fd(99) })
+        );
     }
 
     #[test]

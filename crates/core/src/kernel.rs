@@ -778,11 +778,16 @@ impl Kernel {
     /// targeting for inherited objects — e.g. parking a pipe end on a
     /// child's stdio number), displacing and (last-reference) closing
     /// whatever was there.
-    pub fn install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Fd {
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::FdOutOfRange`] if `at` is at or past
+    /// [`crate::fd::MAX_FDS`]; the table is unchanged.
+    pub fn install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Result<Fd, IolError> {
         self.fx.clear();
-        let fd = self.state.op_install_fd_at(pid, at, object);
+        let r = self.state.op_install_fd_at(pid, at, object);
         self.finish(|| Command::InstallFdAt { pid, at, object });
-        fd
+        r
     }
 
     /// Duplicates a descriptor (`dup(2)`) onto the lowest free number:
@@ -804,7 +809,9 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`IolError::NotOpen`] if `src` is not open.
+    /// [`IolError::NotOpen`] if `src` is not open;
+    /// [`IolError::FdOutOfRange`] if `dst` is at or past
+    /// [`crate::fd::MAX_FDS`] (the table is unchanged).
     pub fn dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
         self.fx.clear();
         let r = self.state.op_dup2_fd(pid, src, dst);
@@ -1553,9 +1560,9 @@ mod tests {
             let FdObject::Socket(id) = k.fd_object(pid, dup).unwrap() else {
                 panic!("a socket descriptor");
             };
-            assert!(k.state.sockets.contains_key(&id), "the dup keeps it alive");
+            assert!(k.state.sockets.get(id).is_some(), "the dup keeps it alive");
             k.close_fd(pid, dup).unwrap();
-            assert!(!k.state.sockets.contains_key(&id), "reclaimed at last close");
+            assert!(k.state.sockets.get(id).is_none(), "reclaimed at last close");
         }
         let live: Vec<ConnId> = kept
             .iter()
@@ -1564,7 +1571,7 @@ mod tests {
                 other => panic!("not a socket: {other:?}"),
             })
             .collect();
-        let held: Vec<ConnId> = k.state.sockets.keys().copied().collect();
+        let held: Vec<ConnId> = k.state.sockets.sorted().map(|(id, _)| id).collect();
         assert_eq!(held, live);
     }
 
@@ -1596,7 +1603,7 @@ mod tests {
         let r_pipe = pipe_of(&mut k, b, r);
         assert_eq!(
             k.install_fd_at(b, Fd::STDIN, FdObject::PipeRead(r_pipe)),
-            Fd::STDIN
+            Ok(Fd::STDIN)
         );
         let pool = k.process(a).pool().clone();
         let msg = Aggregate::from_bytes(&pool, b"execve inherited");
@@ -1609,7 +1616,7 @@ mod tests {
         // the pipe for real.
         let (w2, r2) = k.pipe_between(a, b, PipeMode::ZeroCopy);
         let r2_pipe = pipe_of(&mut k, b, r2);
-        k.install_fd_at(a, w2, FdObject::PipeRead(r2_pipe));
+        k.install_fd_at(a, w2, FdObject::PipeRead(r2_pipe)).unwrap();
         let (eof, _) = k.iol_read_fd(b, r2, 10).unwrap();
         assert!(eof.is_empty(), "write end displaced away => EOF");
     }

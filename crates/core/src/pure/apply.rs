@@ -230,7 +230,7 @@ pub fn step(state: &mut KernelState, cmd: &Command, fx: &mut Vec<Effect>) -> Res
         }
         Command::InstallFd { pid, object } => Ok(Reply::Fd(state.op_install_fd(*pid, *object))),
         Command::InstallFdAt { pid, at, object } => {
-            Ok(Reply::Fd(state.op_install_fd_at(*pid, *at, *object)))
+            state.op_install_fd_at(*pid, *at, *object).map(Reply::Fd)
         }
         Command::DupFd { pid, fd } => state.op_dup_fd(*pid, *fd).map(Reply::Fd),
         Command::Dup2Fd { pid, src, dst } => state.op_dup2_fd(*pid, *src, *dst).map(Reply::Fd),

@@ -43,17 +43,17 @@ impl KernelState {
             ..IoOutcome::default()
         };
         fx.push(Effect::Syscalls(1));
-        let mut events = Vec::with_capacity(fds.len());
-        for entry in fds {
-            let Some(object) = self.fds.object(pid, entry.fd) else {
-                events.push(Readiness {
+        let table = self.fds.table(pid);
+        let events = fds
+            .iter()
+            .map(|entry| match table.and_then(|t| t.get(entry.fd)) {
+                Some(desc) => self.object_readiness(self.fds.file(desc).object),
+                None => Readiness {
                     invalid: true,
                     ..Readiness::PENDING
-                });
-                continue;
-            };
-            events.push(self.object_readiness(object));
-        }
+                },
+            })
+            .collect();
         Ok((events, out))
     }
 
@@ -89,7 +89,7 @@ impl KernelState {
             FdObject::Socket(id) => {
                 // A reclaimed socket (reached through a descriptor
                 // re-installed after its last close) is torn down.
-                let Some(sock) = self.sockets.get(&id) else {
+                let Some(sock) = self.sockets.get(id) else {
                     return Readiness {
                         eof: true,
                         epipe: true,
@@ -170,11 +170,21 @@ impl KernelState {
     /// Installs an existing object at exactly `at` (`dup2`-style
     /// targeting for inherited objects), displacing and
     /// (last-reference) closing whatever was there.
-    pub(crate) fn op_install_fd_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Fd {
-        if let Some(released) = self.fds.install_at(pid, at, object) {
+    ///
+    /// # Errors
+    ///
+    /// [`IolError::FdOutOfRange`] if `at` is at or past
+    /// [`MAX_FDS`](crate::fd::MAX_FDS).
+    pub(crate) fn op_install_fd_at(
+        &mut self,
+        pid: Pid,
+        at: Fd,
+        object: FdObject,
+    ) -> Result<Fd, IolError> {
+        if let Some(released) = self.fds.install_at(pid, at, object)? {
             self.finalize_close(released);
         }
-        at
+        Ok(at)
     }
 
     /// Duplicates a descriptor (`dup(2)`) onto the lowest free number:
@@ -192,13 +202,11 @@ impl KernelState {
     ///
     /// # Errors
     ///
-    /// [`IolError::NotOpen`] if `src` is not open.
+    /// [`IolError::NotOpen`] if `src` is not open;
+    /// [`IolError::FdOutOfRange`] if `dst` is at or past
+    /// [`MAX_FDS`](crate::fd::MAX_FDS).
     pub(crate) fn op_dup2_fd(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Fd, IolError> {
-        let displaced = self
-            .fds
-            .dup2(pid, src, dst)
-            .ok_or(IolError::NotOpen { fd: src })?;
-        if let Some(released) = displaced {
+        if let Some(released) = self.fds.dup2(pid, src, dst)? {
             self.finalize_close(released);
         }
         Ok(dst)
@@ -237,7 +245,7 @@ impl KernelState {
             // Nothing reaches a socket except through a descriptor, so
             // its last close reclaims it.
             FdObject::Socket(id) => {
-                self.sockets.remove(&id);
+                self.sockets.remove(id);
             }
             FdObject::File(_) => {}
         }
@@ -382,7 +390,7 @@ impl KernelState {
                 }
             }
             FdObject::Socket(id) => {
-                let Some(sock) = self.sockets.get_mut(&id) else {
+                let Some(sock) = self.sockets.get_mut(id) else {
                     return Err(IolError::Closed);
                 };
                 if sock.peer_closed {
@@ -410,7 +418,6 @@ impl KernelState {
                 } else {
                     Some(agg.range(0, accept).expect("clamped send window"))
                 };
-                let sock = self.sockets.get_mut(&id).expect("registered socket");
                 let send = sock.conn.send(window.as_ref().unwrap_or(agg), &mut self.cksum);
                 if sock.nonblocking {
                     sock.sndbuf_used += accept;

@@ -27,16 +27,13 @@ impl KernelState {
         tss: usize,
     ) -> Fd {
         let id = self.ids.alloc_conn();
-        self.sockets.insert(
-            id,
-            KernelSocket {
-                conn: TcpConn::new(id.0, mode, mss, tss),
-                inbound: VecDeque::new(),
-                peer_closed: false,
-                nonblocking: false,
-                sndbuf_used: 0,
-            },
-        );
+        self.sockets.insert(KernelSocket {
+            conn: TcpConn::new(id.0, mode, mss, tss),
+            inbound: VecDeque::new(),
+            peer_closed: false,
+            nonblocking: false,
+            sndbuf_used: 0,
+        });
         self.fds.install(pid, FdObject::Socket(id))
     }
 
@@ -49,8 +46,7 @@ impl KernelState {
         fd: Fd,
         payload: Aggregate,
     ) -> IoResult<u64> {
-        let id = self.resolve_socket(pid, fd, "socket delivery")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "socket delivery")?;
         if sock.peer_closed {
             return Err(IolError::Closed);
         }
@@ -69,8 +65,7 @@ impl KernelState {
         len: u64,
         fx: &mut Vec<Effect>,
     ) -> IoResult<SendOutcome> {
-        let id = self.resolve_socket(pid, fd, "accounted socket send")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "accounted socket send")?;
         if sock.peer_closed {
             return Err(IolError::Closed);
         }
@@ -95,8 +90,7 @@ impl KernelState {
         fd: Fd,
         payload: &Aggregate,
     ) -> IoResult<Vec<MbufChain>> {
-        let id = self.resolve_socket(pid, fd, "segment materialization")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "segment materialization")?;
         if sock.peer_closed {
             return Err(IolError::Closed);
         }
@@ -119,9 +113,8 @@ impl KernelState {
         fd: Fd,
         nonblocking: bool,
     ) -> Result<(), IolError> {
-        let id = self.resolve_socket(pid, fd, "set O_NONBLOCK")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
-        sock.nonblocking = nonblocking;
+        self.resolve_socket_mut(pid, fd, "set O_NONBLOCK")?
+            .nonblocking = nonblocking;
         Ok(())
     }
 
@@ -137,8 +130,7 @@ impl KernelState {
     /// acknowledges nothing, so unacknowledged bytes can never drain
     /// and the in-flight response must be failed, not completed.
     pub(crate) fn op_socket_drain(&mut self, pid: Pid, fd: Fd, max: u64) -> Result<u64, IolError> {
-        let id = self.resolve_socket(pid, fd, "send-buffer drain")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
+        let sock = self.resolve_socket_mut(pid, fd, "send-buffer drain")?;
         if sock.peer_closed {
             return Err(IolError::Closed);
         }
@@ -155,9 +147,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub(crate) fn op_socket_peer_close(&mut self, pid: Pid, fd: Fd) -> Result<(), IolError> {
-        let id = self.resolve_socket(pid, fd, "peer close")?;
-        let sock = self.sockets.get_mut(&id).expect("registered socket");
-        sock.peer_closed = true;
+        self.resolve_socket_mut(pid, fd, "peer close")?.peer_closed = true;
         Ok(())
     }
 
@@ -182,7 +172,7 @@ impl KernelState {
         fx.push(Effect::Syscalls(1));
         // A descriptor re-installed after the last close names a
         // reclaimed connection: the stream has ended.
-        let Some(sock) = self.sockets.get_mut(&id) else {
+        let Some(sock) = self.sockets.get_mut(id) else {
             return Ok((Aggregate::empty(), out));
         };
         let mode = sock.conn.mode();

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use iolite_buf::{digest_aggregate, Acl, Aggregate, BufferPool, Fnv64, PoolForker, PoolId};
+use iolite_buf::{digest_aggregate, Acl, Aggregate, BufferPool, Fnv64, IdMap, PoolForker, PoolId};
 use iolite_fs::{
     CacheKey, DiskModel, FileId, FileStore, MetadataCache, Policy, UnifiedCache,
     WritebackConfig, WritebackScheduler,
@@ -24,7 +24,7 @@ use iolite_vm::{IoLiteWindow, MemAccount, PageoutDaemon, PhysMemory};
 use super::ids::{ConnId, IdAlloc, PipeId};
 use crate::cost::{Charge, CostCategory, CostModel};
 use crate::error::IolError;
-use crate::fd::{DescId, Fd, FdObject, FdRegistry};
+use crate::fd::{DescId, Fd, FdObject, FdRegistry, FdTable};
 use crate::process::{Pid, Process};
 
 use super::effect::Effect;
@@ -38,7 +38,7 @@ use super::effect::Effect;
 pub struct MappedFileCache {
     capacity: usize,
     clock: u64,
-    entries: std::collections::HashMap<FileId, u64>,
+    entries: IdMap<FileId, u64>,
 }
 
 impl MappedFileCache {
@@ -48,7 +48,7 @@ impl MappedFileCache {
         MappedFileCache {
             capacity,
             clock: 0,
-            entries: std::collections::HashMap::new(),
+            entries: IdMap::default(),
         }
     }
 
@@ -187,6 +187,61 @@ impl KernelSocket {
     }
 }
 
+/// The live sockets: a dense slab plus a seedless index from connection
+/// id to slab position, so resolving a socket is one probe of a
+/// 16-byte-entry index. A removal moves the last socket into the hole,
+/// so slab order is an artifact of closes: digests and snapshots walk
+/// the sockets in ascending id order instead.
+#[derive(Debug, Default)]
+pub(crate) struct SocketTable {
+    slab: Vec<KernelSocket>,
+    index: IdMap<ConnId, u32>,
+}
+
+impl SocketTable {
+    /// The live socket `id`, if it has not been reclaimed.
+    pub(crate) fn get(&self, id: ConnId) -> Option<&KernelSocket> {
+        self.index.get(&id).map(|&i| &self.slab[i as usize])
+    }
+
+    /// Mutable [`SocketTable::get`].
+    pub(crate) fn get_mut(&mut self, id: ConnId) -> Option<&mut KernelSocket> {
+        let i = *self.index.get(&id)?;
+        Some(&mut self.slab[i as usize])
+    }
+
+    /// Registers a socket under its connection's id.
+    pub(crate) fn insert(&mut self, sock: KernelSocket) {
+        let at = u32::try_from(self.slab.len()).expect("socket slab exceeds u32 positions");
+        self.index.insert(ConnId(sock.conn.id()), at);
+        self.slab.push(sock);
+    }
+
+    /// Reclaims socket `id`.
+    pub(crate) fn remove(&mut self, id: ConnId) {
+        let Some(at) = self.index.remove(&id) else {
+            return;
+        };
+        self.slab.swap_remove(at as usize);
+        if let Some(moved) = self.slab.get(at as usize) {
+            self.index.insert(ConnId(moved.conn.id()), at);
+        }
+    }
+
+    /// Live sockets.
+    pub(crate) fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// Live sockets in ascending id order.
+    pub(crate) fn sorted(&self) -> impl Iterator<Item = (ConnId, &KernelSocket)> {
+        let mut ids: Vec<(ConnId, u32)> = self.index.iter().map(|(&id, &at)| (id, at)).collect();
+        ids.sort_unstable();
+        ids.into_iter()
+            .map(|(id, at)| (id, &self.slab[at as usize]))
+    }
+}
+
 /// A kernel pipe plus the ACL governing zero-copy transfers out of it
 /// (`None` = the permissive kernel default; pipes between mutually
 /// untrusting processes carry the writer pool's ACL, §3.10).
@@ -265,7 +320,7 @@ pub struct KernelState {
     pub(crate) cache_pool_acl: Acl,
     pub(crate) processes: BTreeMap<Pid, Process>,
     pub(crate) pipes: BTreeMap<PipeId, PipeSlot>,
-    pub(crate) sockets: BTreeMap<ConnId, KernelSocket>,
+    pub(crate) sockets: SocketTable,
     pub(crate) consoles: BTreeMap<Pid, Console>,
     pub(crate) fds: FdRegistry,
     pub(crate) ids: IdAlloc,
@@ -305,7 +360,7 @@ impl KernelState {
             cache_pool_acl: Acl::kernel_only(),
             processes: BTreeMap::new(),
             pipes: BTreeMap::new(),
-            sockets: BTreeMap::new(),
+            sockets: SocketTable::default(),
             consoles: BTreeMap::new(),
             fds: FdRegistry::new(),
             ids: IdAlloc::new(),
@@ -365,12 +420,15 @@ impl KernelState {
             stderr: self.op_pipe_create(iolite_ipc::PipeMode::ZeroCopy, None, fx),
         };
         self.consoles.insert(pid, console);
-        self.fds
-            .install_at(pid, Fd::STDIN, FdObject::PipeRead(console.stdin));
-        self.fds
-            .install_at(pid, Fd::STDOUT, FdObject::PipeWrite(console.stdout));
-        self.fds
-            .install_at(pid, Fd::STDERR, FdObject::PipeWrite(console.stderr));
+        for (fd, object) in [
+            (Fd::STDIN, FdObject::PipeRead(console.stdin)),
+            (Fd::STDOUT, FdObject::PipeWrite(console.stdout)),
+            (Fd::STDERR, FdObject::PipeWrite(console.stderr)),
+        ] {
+            // A fresh table: nothing to displace, and 0/1/2 are in range.
+            let displaced = self.fds.install_at(pid, fd, object);
+            debug_assert_eq!(displaced, Ok(None));
+        }
         pid
     }
 
@@ -405,8 +463,7 @@ impl KernelState {
     /// [`IolError::NotOpen`] for unknown descriptors,
     /// [`IolError::BadFdKind`] for non-sockets.
     pub fn socket(&self, pid: Pid, fd: Fd) -> Result<&TcpConn, IolError> {
-        let id = self.resolve_socket(pid, fd, "socket access")?;
-        Ok(&self.sockets[&id].conn)
+        Ok(&self.resolve_socket(pid, fd, "socket access")?.conn)
     }
 
     /// Free space in a socket's send buffer (`Tss - unacknowledged`);
@@ -417,8 +474,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_space(&self, pid: Pid, fd: Fd) -> Result<u64, IolError> {
-        let id = self.resolve_socket(pid, fd, "send-buffer space")?;
-        let sock = &self.sockets[&id];
+        let sock = self.resolve_socket(pid, fd, "send-buffer space")?;
         // A blocking socket's buffer is always (logically) empty; cap
         // the answer at Tss either way.
         Ok(sock.send_space().min(sock.conn.tss() as u64))
@@ -430,8 +486,8 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_unacked(&self, pid: Pid, fd: Fd) -> Result<u64, IolError> {
-        let id = self.resolve_socket(pid, fd, "send-buffer occupancy")?;
-        Ok(self.sockets[&id].sndbuf_used)
+        let sock = self.resolve_socket(pid, fd, "send-buffer occupancy")?;
+        Ok(sock.sndbuf_used)
     }
 
     /// Whether a socket's remote side has hung up (a FIN/RST was
@@ -445,8 +501,7 @@ impl KernelState {
     ///
     /// [`IolError::NotOpen`] / [`IolError::BadFdKind`] as usual.
     pub fn socket_peer_closed(&self, pid: Pid, fd: Fd) -> Result<bool, IolError> {
-        let id = self.resolve_socket(pid, fd, "peer liveness")?;
-        Ok(self.sockets[&id].peer_closed)
+        Ok(self.resolve_socket(pid, fd, "peer liveness")?.peer_closed)
     }
 
     /// The length of the file behind a descriptor (`fstat(2)`'s
@@ -493,6 +548,12 @@ impl KernelState {
         self.fds.object(pid, fd).ok_or(IolError::NotOpen { fd })
     }
 
+    /// `pid`'s descriptor table, if it has one (introspection: sizes,
+    /// the high-water mark, the slot vector).
+    pub fn fd_table(&self, pid: Pid) -> Option<&FdTable> {
+        self.fds.table(pid)
+    }
+
     /// Resolves a descriptor to its open-file description (`EBADF` on
     /// unknown numbers) — the lookup every offset-moving operation goes
     /// through. Read-only: resolving never creates a table.
@@ -513,19 +574,32 @@ impl KernelState {
         }
     }
 
-    /// Resolves a descriptor that must name a live socket. A socket is
-    /// reclaimed at its last close, so a descriptor re-installed from a
-    /// stale [`FdObject`] names a torn-down connection:
+    /// Resolves a descriptor that must name a live socket, returning
+    /// the socket itself: one table index, one registry probe. A socket
+    /// is reclaimed at its last close, so a descriptor re-installed from
+    /// a stale [`FdObject`] names a torn-down connection:
     /// [`IolError::Closed`].
     pub(crate) fn resolve_socket(
         &self,
         pid: Pid,
         fd: Fd,
         operation: &'static str,
-    ) -> Result<ConnId, IolError> {
+    ) -> Result<&KernelSocket, IolError> {
         match self.fd_object(pid, fd)? {
-            FdObject::Socket(id) if self.sockets.contains_key(&id) => Ok(id),
-            FdObject::Socket(_) => Err(IolError::Closed),
+            FdObject::Socket(id) => self.sockets.get(id).ok_or(IolError::Closed),
+            _ => Err(IolError::BadFdKind { fd, operation }),
+        }
+    }
+
+    /// [`KernelState::resolve_socket`] for mutation.
+    pub(crate) fn resolve_socket_mut(
+        &mut self,
+        pid: Pid,
+        fd: Fd,
+        operation: &'static str,
+    ) -> Result<&mut KernelSocket, IolError> {
+        match self.fd_object(pid, fd)? {
+            FdObject::Socket(id) => self.sockets.get_mut(id).ok_or(IolError::Closed),
             _ => Err(IolError::BadFdKind { fd, operation }),
         }
     }
@@ -556,11 +630,10 @@ impl KernelState {
             .map(|(id, s)| (*id, s.fork(&mut forker)))
             .collect();
         let cache = self.cache.snapshot(&mut forker);
-        let sockets: BTreeMap<ConnId, KernelSocket> = self
-            .sockets
-            .iter()
-            .map(|(id, s)| (*id, s.fork(&mut forker)))
-            .collect();
+        let mut sockets = SocketTable::default();
+        for (_, sock) in self.sockets.sorted() {
+            sockets.insert(sock.fork(&mut forker));
+        }
         KernelState {
             cost: self.cost,
             window: self.window.clone(),
@@ -618,7 +691,7 @@ impl KernelState {
             slot.digest(&mut h);
         }
         h.write_usize(self.sockets.len());
-        for (id, sock) in &self.sockets {
+        for (id, sock) in self.sockets.sorted() {
             h.write_u64(id.0);
             sock.digest(&mut h);
         }

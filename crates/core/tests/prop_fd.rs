@@ -8,14 +8,19 @@
 //! mark), `dup`, `dup2`, `close`, offset moves, and registry forks
 //! across three processes must leave both sides agreeing on every
 //! returned number, every last-close decision, and every shared
-//! offset, while the index invariants hold after each step.
+//! offset, while the index invariants hold after each step: each
+//! table's slot vector is exactly as long as its high-water mark, and
+//! a slot is filled exactly when the model has that number open.
+//! Targets at or past [`MAX_FDS`] must fail with `EBADF` and change
+//! nothing.
 
 use std::collections::BTreeMap;
 
 use iolite_buf::Fnv64;
-use iolite_core::fd::{DescId, FdRegistry, Released};
-use iolite_core::{ConnId, Fd, FdObject, Pid, PipeId};
+use iolite_core::fd::{DescId, FdRegistry, Released, MAX_FDS};
+use iolite_core::{ConnId, CostModel, Fd, FdObject, IolError, Kernel, Pid, PipeId};
 use iolite_fs::FileId;
+use iolite_net::BufferMode;
 use proptest::prelude::*;
 
 /// Objects the generated operations draw from.
@@ -63,9 +68,14 @@ fn fd(n: u8) -> Fd {
     Fd(u32::from(n % 16))
 }
 
-/// A target that often lands past the high-water mark.
+/// A target that often lands past the high-water mark, and now and
+/// then past the descriptor limit.
 fn far_fd(n: u8) -> Fd {
-    Fd(u32::from(n % 48))
+    match n {
+        254 => Fd(MAX_FDS),
+        255 => Fd(u32::MAX),
+        _ => Fd(u32::from(n % 48)),
+    }
 }
 
 fn object(o: u8) -> FdObject {
@@ -129,9 +139,17 @@ impl Model {
         fd
     }
 
-    fn install_at(&mut self, pid: Pid, at: Fd, object: FdObject) -> Option<Released> {
+    fn install_at(
+        &mut self,
+        pid: Pid,
+        at: Fd,
+        object: FdObject,
+    ) -> Result<Option<Released>, IolError> {
+        if at.0 >= MAX_FDS {
+            return Err(IolError::FdOutOfRange { fd: at });
+        }
         let desc = self.new_desc(object);
-        self.put(pid, at, desc)
+        Ok(self.put(pid, at, desc))
     }
 
     fn get(&self, pid: Pid, fd: Fd) -> Option<usize> {
@@ -145,12 +163,15 @@ impl Model {
         Some(new)
     }
 
-    fn dup2(&mut self, pid: Pid, src: Fd, dst: Fd) -> Option<Option<Released>> {
-        let desc = self.get(pid, src)?;
+    fn dup2(&mut self, pid: Pid, src: Fd, dst: Fd) -> Result<Option<Released>, IolError> {
+        let desc = self.get(pid, src).ok_or(IolError::NotOpen { fd: src })?;
         if src == dst {
-            return Some(None);
+            return Ok(None);
         }
-        Some(self.put(pid, dst, desc))
+        if dst.0 >= MAX_FDS {
+            return Err(IolError::FdOutOfRange { fd: dst });
+        }
+        Ok(self.put(pid, dst, desc))
     }
 
     fn close(&mut self, pid: Pid, fd: Fd) -> Option<Released> {
@@ -240,6 +261,21 @@ fn check(reg: &FdRegistry, model: &Model) {
         assert_eq!(table.len() as u64 + table.free_count(), table.high_water());
         let top = open.last().map_or(0, |fd| u64::from(fd.0) + 1);
         assert_eq!(table.high_water(), top);
+        // Dense slots: exactly the mark long, filled exactly where the
+        // model has a number open.
+        assert_eq!(
+            table.slots().len() as u64,
+            table.high_water(),
+            "{pid:?} slot length"
+        );
+        for (n, slot) in table.slots().iter().enumerate() {
+            let fd = Fd(u32::try_from(n).unwrap());
+            assert_eq!(
+                slot.is_some(),
+                expected.contains_key(&fd),
+                "{pid:?} slot {n}"
+            );
+        }
     }
     for object in OBJECTS {
         assert_eq!(
@@ -248,6 +284,57 @@ fn check(reg: &FdRegistry, model: &Model) {
             "{object:?} count"
         );
     }
+}
+
+/// Many sockets open at once grow one table to 16k slots; closing
+/// them all truncates it back to the stdio triple.
+#[test]
+fn table_shrinks_to_stdio_after_mass_close() {
+    let mut k = Kernel::new(CostModel::pentium_ii_333());
+    let pid = k.spawn("server");
+    let socks: Vec<Fd> = (0..16_384)
+        .map(|_| k.socket_create(pid, BufferMode::ZeroCopy, 1460, 64 * 1024))
+        .collect();
+    let table = k.fd_table(pid).unwrap();
+    assert_eq!(table.len(), 3 + 16_384);
+    assert_eq!(table.high_water(), 3 + 16_384);
+    for fd in socks {
+        k.close_fd(pid, fd).unwrap();
+    }
+    let table = k.fd_table(pid).unwrap();
+    assert_eq!(table.len(), 3);
+    assert_eq!(table.high_water(), 3);
+    assert_eq!(table.slots().len(), 3);
+    assert_eq!(table.free_count(), 0);
+}
+
+/// `dup2` onto a number past the limit is `EBADF` and leaves the table
+/// as it was: no slot vector sized by the requested number.
+#[test]
+fn dup2_past_the_limit_is_ebadf_without_growth() {
+    let mut k = Kernel::new(CostModel::pentium_ii_333());
+    let pid = k.spawn("shell");
+    let before = k.state_hash();
+    for dst in [Fd(MAX_FDS), Fd(u32::MAX)] {
+        assert_eq!(
+            k.dup2_fd(pid, Fd::STDOUT, dst),
+            Err(IolError::FdOutOfRange { fd: dst })
+        );
+        assert_eq!(
+            k.install_fd_at(pid, dst, FdObject::File(FileId(1))),
+            Err(IolError::FdOutOfRange { fd: dst })
+        );
+    }
+    let table = k.fd_table(pid).unwrap();
+    assert_eq!(
+        (table.len(), table.high_water(), table.slots().len()),
+        (3, 3, 3)
+    );
+    assert_eq!(k.state_hash(), before, "a refused dup2 changes nothing");
+    assert!(
+        k.dup2_fd(pid, Fd::STDOUT, Fd(MAX_FDS - 1)).is_ok(),
+        "the last number is usable"
+    );
 }
 
 proptest! {

@@ -4,7 +4,7 @@
 //! 'old' buffer cache to hold file system metadata." Name→inode lookups
 //! go through this LRU cache; a miss stands for a metadata disk access.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::disk::FileId;
 
@@ -18,7 +18,8 @@ use crate::disk::FileId;
 pub struct MetadataCache {
     capacity: usize,
     clock: u64,
-    entries: HashMap<String, (FileId, u64)>,
+    // lint:allow(seeded-hash) — peer-chosen path keys
+    entries: std::collections::HashMap<String, (FileId, u64)>,
     /// Names by stamp. A hit only bumps the entry's own stamp, so a
     /// record may be stale, but every entry has a record no newer than
     /// its stamp: the first current record is the LRU entry.
@@ -38,7 +39,7 @@ impl MetadataCache {
         MetadataCache {
             capacity,
             clock: 0,
-            entries: HashMap::new(),
+            entries: Default::default(),
             lru: BTreeMap::new(),
             hits: 0,
             misses: 0,

@@ -17,6 +17,7 @@
 //! | `no-lock` | `scan` | No `Mutex`/`RwLock` in the kernel, cache, or serving crates — the sharded design (PR 7) is shared-nothing; cross-shard communication goes over the fabric. |
 //! | `hot-path-alloc` | `scan` | No `.to_vec()`/`.clone()`/`Vec::new`/`vec!` in the designated hot serving modules — the zero-copy aggregate discipline (PR 2). Deliberate copies carry an annotation. |
 //! | `panic` | `scan` + budget | No `.unwrap()`/`.expect()`/`panic!` in the event loop or shard fabric (PR 5: a request must never kill the server). Justified sites are annotated and *budgeted*: the committed count may only shrink. |
+//! | `seeded-hash` | `scan` + budget | No `HashMap`/`HashSet`/`RandomState` in the kernel crates (core, fs, net, vm): maps keyed by kernel-assigned ids use the seedless `iolite_buf::IdMap`/`IdSet`, so their layout follows the commands alone. A map keyed by peer-chosen names keeps keyed SipHash under a budgeted annotation. |
 //! | `command-coverage` | `exhaustive` | Every `pure::Command` variant has an `apply` match arm **and** a journaling shell site — a variant the shell never journals silently replays nothing (PR 6). Also flags wildcard `_ =>` arms in the dispatcher. |
 //! | `deprecated-api` | `baseline-count` | Callers of the PR 4 raw `FileId`/`PipeId` shims (`iol_read`, `posix_write`, …) are counted against the committed baseline — shrink-only. |
 //!

@@ -1,10 +1,12 @@
 //! The generic token-pattern scanner.
 //!
-//! One engine, four contracts: **purity** (`std::{io,time,fs}`, RNG and
+//! One engine, five contracts: **purity** (`std::{io,time,fs}`, RNG and
 //! wall-clock identifiers banned from the pure core — robust to `use …
 //! as` renames because the `use` line itself spells the banned path),
 //! **no-lock** (`Mutex`/`RwLock` identifiers banned from kernel/cache/
-//! serving crates), **hot-path-alloc** (`.to_vec()`/`.clone()`/
+//! serving crates), **seeded-hash** (`HashMap`/`HashSet`/`RandomState`
+//! banned from the kernel crates in favour of the seedless id maps),
+//! **hot-path-alloc** (`.to_vec()`/`.clone()`/
 //! `Vec::new`/`vec!` banned from designated hot modules), and
 //! **panic** (`.unwrap()`/`.expect()`/`panic!` banned from the serving
 //! path). Each banned occurrence is a diagnostic unless the line

@@ -22,14 +22,18 @@ pub struct PartialSum {
 }
 
 /// Sums a byte run as 16-bit big-endian words (RFC 1071 core loop).
+///
+/// The accumulator is 64 bits wide: a `u32` overflows after 65,537
+/// words of `0xFFFF` (128 KiB + 2 bytes), while a `u64` cannot within
+/// any addressable input.
 fn raw_sum(data: &[u8]) -> u16 {
-    let mut acc: u32 = 0;
+    let mut acc: u64 = 0;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        acc += u64::from(u16::from_be_bytes([c[0], c[1]]));
     }
     if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
+        acc += u64::from(u16::from_be_bytes([*last, 0]));
     }
     // Fold carries.
     while acc > 0xFFFF {
@@ -110,6 +114,35 @@ mod tests {
         let data = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(bytes_sum(&data).sum, 0xddf2);
         assert_eq!(reference_checksum(&data), !0xddf2);
+    }
+
+    /// Ones-complement sum folding the carry back after every word: no
+    /// accumulator to overflow, however long the input.
+    fn per_word_sum(data: &[u8]) -> u16 {
+        let mut acc: u32 = 0;
+        for pair in data.chunks(2) {
+            acc += u32::from(u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]));
+            if acc > 0xFFFF {
+                acc = (acc & 0xFFFF) + 1;
+            }
+        }
+        acc as u16
+    }
+
+    /// Regression: the accumulator was a `u32`, which wrapped after
+    /// 65,537 words of `0xFFFF`; 140,000 and 262,144 bytes of `0xFF`
+    /// summed to `0xfffe` (and panicked in debug builds).
+    #[test]
+    fn long_runs_of_ones_do_not_overflow() {
+        for len in [131_072, 131_074, 131_076, 140_000, 262_144] {
+            let data = vec![0xFF; len];
+            assert_eq!(bytes_sum(&data).sum, per_word_sum(&data), "{len} bytes");
+            assert_eq!(bytes_sum(&data).sum, 0xFFFF, "{len} bytes");
+        }
+        let mixed: Vec<u8> = (0..300_001u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        assert_eq!(bytes_sum(&mixed).sum, per_word_sum(&mixed));
     }
 
     #[test]

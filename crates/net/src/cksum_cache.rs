@@ -30,9 +30,7 @@
 //! CLOCK hand, chain order — is a function of the operation sequence
 //! alone, never of the map's per-instance hash seed.
 
-use std::collections::HashMap;
-
-use iolite_buf::Slice;
+use iolite_buf::{IdMap, Slice};
 
 use crate::checksum::{slice_sum, PartialSum};
 
@@ -145,7 +143,7 @@ pub struct ChecksumCache {
     enabled: bool,
     /// Buffer identity → index of the first slot in its chain. Looked
     /// up and updated by key only; never iterated.
-    heads: HashMap<BufKey, u32>,
+    heads: IdMap<BufKey, u32>,
     slots: Vec<Slot>,
     hand: usize,
     stats: CksumCacheStats,
@@ -160,7 +158,7 @@ impl ChecksumCache {
             enabled: true,
             // Grows lazily alongside `slots`: the kernel default is
             // 2¹⁶ entries, which would be megabytes if preallocated.
-            heads: HashMap::new(),
+            heads: IdMap::default(),
             slots: Vec::new(),
             hand: 0,
             stats: CksumCacheStats::default(),

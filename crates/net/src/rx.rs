@@ -11,9 +11,7 @@
 //! driver) lands in an anonymous kernel buffer and owes one copy when
 //! its destination becomes known.
 
-use std::collections::HashMap;
-
-use iolite_buf::{Acl, Aggregate, BufferPool, PoolId};
+use iolite_buf::{Acl, Aggregate, BufferPool, IdMap, PoolId};
 
 use crate::filter::{PacketFilter, StreamId};
 use crate::packet::SegmentHeader;
@@ -32,7 +30,7 @@ pub struct RxStats {
 /// The driver's receive path: filter + per-stream pools.
 pub struct RxPath {
     filter: PacketFilter,
-    pools: HashMap<StreamId, BufferPool>,
+    pools: IdMap<StreamId, BufferPool>,
     /// Anonymous kernel buffers for unmatched packets.
     anon_pool: BufferPool,
     stats: RxStats,
@@ -43,7 +41,7 @@ impl RxPath {
     pub fn new() -> Self {
         RxPath {
             filter: PacketFilter::new(),
-            pools: HashMap::new(),
+            pools: IdMap::default(),
             anon_pool: BufferPool::new(
                 PoolId(u32::MAX - 1),
                 Acl::kernel_only(),
